@@ -5,17 +5,23 @@ weighted sums over orbit layers are computed by enumerating the actual
 points.  Checking every monomial of total degree <= t is equivalent to
 the defining property of a Euclidean t-design because monomials span the
 polynomial space.
+
+Every layer is a complete hyperoctahedral orbit, so the orbit-sum kernel
+uses its sign-flip and permutation symmetry (see ``_orbit_monomial_sum``)
+but no counting formula, which keeps this oracle independent of the
+closed forms in ``strength``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .numeric import double_factorial
-from .orbit import DEFAULT_POINT_CAP, DesignConfig, orbit_size, orbit_tuples
+from .orbit import DEFAULT_POINT_CAP, DesignConfig, check_orbit, orbit_size, orbit_tuples
 from .poly import Polynomial
 
 _ZERO = Fraction(0)
@@ -47,20 +53,23 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
 
 @lru_cache(maxsize=200_000)
 def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...], cap: int) -> int:
-    """Sum of x^alpha over the unscaled orbit points, by enumeration."""
-    items = [(i, e) for i, e in enumerate(exponents) if e]
-    total = 0
-    for coords in orbit_tuples(n, k, cap):
-        value = 1
-        for i, e in items:
-            c = coords[i]
-            if c == 0:
-                value = 0
-                break
-            if e % 2:
-                value *= c
-        total += value
-    return total
+    """Sum of x^alpha over the unscaled orbit points.
+
+    Flipping the sign of a coordinate with an odd exponent maps the orbit
+    onto itself and negates x^alpha, so the sum is 0.  Otherwise the sum
+    is invariant under permuting the exponents and is enumerated once per
+    partition.  The orbit is checked against the cap before either step.
+    """
+    check_orbit(n, k, cap)
+    if any(e % 2 for e in exponents):
+        return 0
+    return _orbit_partition_sum(n, k, tuple(sorted(e for e in exponents if e)), cap)
+
+
+@lru_cache(maxsize=4096)
+def _orbit_partition_sum(n: int, k: int, parts: tuple[int, ...], cap: int) -> int:
+    """Sum of prod_i x_i^parts[i] over the unscaled orbit points, by enumeration."""
+    return sum(math.prod(map(pow, coords, parts)) for coords in orbit_tuples(n, k, cap))
 
 
 def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DEFAULT_POINT_CAP) -> Fraction:
@@ -68,19 +77,25 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DE
 
     Odd total degree is exactly zero on both sides (the configuration is
     antipodal and odd monomials average to zero), so enumeration is
-    skipped in that case.
+    skipped in that case.  An odd exponent in an even total makes the
+    sphere side zero, so only the orbit sums are taken.
     """
     exponents = tuple(exponents)
     if len(exponents) != cfg.n:
         raise ValueError("monomial has wrong number of variables")
+    if min(exponents) < 0:
+        raise ValueError("exponents must be non-negative")
     degree = sum(exponents)
     if degree % 2:
         return _ZERO
     half = degree // 2
     left = _ZERO
     for layer in cfg.layers:
-        scale = (layer.r_squared / layer.k) ** half
-        left += layer.weight * scale * _orbit_monomial_sum(cfg.n, layer.k, exponents, cap)
+        orbit_sum = _orbit_monomial_sum(cfg.n, layer.k, exponents, cap)
+        if orbit_sum:
+            left += layer.weight * (layer.r_squared / layer.k) ** half * orbit_sum
+    if any(e % 2 for e in exponents):
+        return left
     right = _ZERO
     for r2 in cfg.norm_spectrum:
         w_total = sum(
@@ -125,6 +140,8 @@ def first_failure(cfg: DesignConfig, t_max: int, cap: int = DEFAULT_POINT_CAP) -
     Degrees are scanned in increasing order; odd degrees cannot fail for
     antipodal configurations and are skipped.
     """
+    if t_max < 0:
+        raise ValueError(f"strength must be non-negative, got {t_max}")
     for degree in range(2, t_max + 1, 2):
         for exponents in monomials_of_degree(cfg.n, degree):
             residual = monomial_residual(cfg, exponents, cap)

@@ -30,14 +30,19 @@ def orbit_size(n: int, k: int) -> int:
     return 2**k * binomial(n, k)
 
 
-@lru_cache(maxsize=256)
-def orbit_tuples(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
-    """All orbit points as coordinate tuples, deterministic order."""
+def check_orbit(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> None:
+    """Raise unless 1 <= k <= n and the orbit has at most cap points."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     size = orbit_size(n, k)
     if size > cap:
         raise OrbitSizeError(f"orbit has {size} points, cap is {cap}")
+
+
+@lru_cache(maxsize=256)
+def orbit_tuples(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
+    """All orbit points as coordinate tuples, deterministic order."""
+    check_orbit(n, k, cap)
     points = []
     for support in itertools.combinations(range(n), k):
         for signs in itertools.product((1, -1), repeat=k):

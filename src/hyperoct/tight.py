@@ -13,7 +13,7 @@ from fractions import Fraction
 from .moments import max_strength_oracle
 from .numeric import as_rational, binomial
 from .orbit import DesignConfig, Layer
-from .strength import classify
+from .strength import StrengthReport, classify
 
 _ONE = Fraction(1)
 
@@ -96,27 +96,8 @@ def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
 # -- tightness verdicts ----------------------------------------------
 
 
-def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool = True) -> bool:
-    """Whether the configuration meets the size bound at its strength.
-
-    Strength comes from the closed-form classifier (cross-checked against
-    the definition-level oracle for n <= 6 unless disabled); p is the
-    number of distinct squared radii.  Only antipodal configurations are
-    certified, which orbit unions always are.
-    """
-    if t is None:
-        t = classify(cfg).strength
-        if confirm_with_oracle and cfg.n <= 6:
-            oracle_t = max_strength_oracle(cfg, t_max=9)
-            if oracle_t != t:
-                raise AssertionError(
-                    f"classifier strength {t} disagrees with oracle {oracle_t}"
-                )
-    return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
-
-
-def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -> dict:
-    """Machine-checkable certificate: config, strength report, bound, verdict."""
+def _confirmed_strength(cfg: DesignConfig, confirm_with_oracle: bool) -> StrengthReport:
+    """Closed-form strength report, cross-checked against the oracle for n <= 6."""
     report = classify(cfg)
     if confirm_with_oracle and cfg.n <= 6:
         oracle_t = max_strength_oracle(cfg, t_max=9)
@@ -124,6 +105,29 @@ def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -
             raise AssertionError(
                 f"classifier strength {report.strength} disagrees with oracle {oracle_t}"
             )
+    return report
+
+
+def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool = True) -> bool:
+    """Whether the configuration meets the size bound at strength t.
+
+    Strength comes from the closed-form classifier (cross-checked against
+    the definition-level oracle for n <= 6 unless disabled); t defaults
+    to it, and a larger t raises ValueError since the configuration is
+    not a t-design.  p is the number of distinct squared radii.  Only
+    antipodal configurations are certified, which orbit unions always are.
+    """
+    strength = _confirmed_strength(cfg, confirm_with_oracle).strength
+    if t is None:
+        t = strength
+    elif t > strength:
+        raise ValueError(f"configuration has strength {strength}, not t={t}")
+    return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
+
+
+def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -> dict:
+    """Machine-checkable certificate: config, strength report, bound, verdict."""
+    report = _confirmed_strength(cfg, confirm_with_oracle)
     bound = fisher_bound(cfg.n, cfg.p, report.strength)
     return {
         "config": cfg.to_json_dict(),

@@ -8,8 +8,10 @@ from a gamma-function identity, and feasibility from raw linear systems.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from hyperoct.harmonic import embed
 from hyperoct.orbit import DesignConfig, make_config, orbit_tuples
@@ -24,13 +26,29 @@ PROPERTY_G_LE_100 = [
 ]
 
 
+@lru_cache(maxsize=None)
 def enumerated_layer_sum(poly: Polynomial, n: int, k: int) -> Fraction:
-    """Sum of a polynomial over the unscaled orbit points, by brute force."""
+    """Sum of a polynomial over the unscaled orbit points, by brute force.
+
+    Memoized: the result does not depend on any radius, and the raw
+    feasibility systems ask for the same (poly, n, k) thousands of times.
+    """
     full = embed(poly, tuple(range(1, poly.nvars + 1)), n)
     total = Fraction(0)
     for pt in orbit_tuples(n, k):
         total += full.evaluate(pt)
     return total
+
+
+@lru_cache(maxsize=None)
+def cube_points_with_support(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Points of {-1, 0, 1}^n with exactly k nonzero coordinates, by filtering the cube."""
+    return tuple(pt for pt in itertools.product((-1, 0, 1), repeat=n) if n - pt.count(0) == k)
+
+
+def enumerated_monomial_sum(n: int, k: int, exponents) -> int:
+    """Sum of x^alpha over the unscaled orbit points, by brute force."""
+    return sum(math.prod(c**e for c, e in zip(pt, exponents)) for pt in cube_points_with_support(n, k))
 
 
 def sphere_average_gamma_oracle(n: int, exponents, r_squared) -> Fraction:

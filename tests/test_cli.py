@@ -86,6 +86,12 @@ class TestVerifyAndClassify:
             assert run(capsys, "verify", "--config", path, "--t", str(t))[0] == 0
             assert run(capsys, "verify", "--config", path, "--t", str(t + 1))[0] == 1
 
+    def test_negative_strength_is_usage_error(self, capsys, tmp_path):
+        path = write_config(tmp_path, tight_5_3d(1, 2, 1))
+        code, out, err = run(capsys, "verify", "--config", path, "--t", "-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--config", "/nonexistent.json", "--t", "3")
         assert code == 2 and "error" in err

@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import sphere_average_gamma_oracle
+from helpers import enumerated_monomial_sum, sphere_average_gamma_oracle
 from hyperoct.harmonic import criterion_f42, embed
 from hyperoct.moments import (
     _orbit_monomial_sum,
     design_residual,
     first_failure,
     max_strength_oracle,
+    monomial_residual,
     monomials_of_degree,
     residual_rational_points,
     sphere_monomial_average,
     verify_strength,
 )
-from hyperoct.orbit import DEFAULT_POINT_CAP, make_config
+from hyperoct.orbit import DEFAULT_POINT_CAP, OrbitSizeError, make_config
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
 
@@ -73,10 +74,35 @@ class TestDesignResidual:
 
 
 def test_partially_odd_orbit_sums_vanish_by_enumeration():
-    # even total degree but some odd exponent: honest enumeration gives 0
-    cases = [(3, 2, (3, 1, 0)), (4, 3, (1, 1, 2)), (5, 2, (2, 1, 1, 0, 0)), (4, 4, (5, 1, 0, 2))]
-    for n, k, exps in cases:
-        assert _orbit_monomial_sum(n, k, exps, DEFAULT_POINT_CAP) == 0
+    # the kernel against brute-force enumeration on every exponent tuple of
+    # even degree <= 8, n <= 6; an odd exponent must give 0 in both
+    for n in range(1, 7):
+        for degree in range(0, 9, 2):
+            for exps in monomials_of_degree(n, degree):
+                for k in range(1, n + 1):
+                    expected = enumerated_monomial_sum(n, k, exps)
+                    assert _orbit_monomial_sum(n, k, exps, DEFAULT_POINT_CAP) == expected, (n, k, exps)
+                    if any(e % 2 for e in exps):
+                        assert expected == 0, (n, k, exps)
+
+
+@pytest.mark.parametrize("exps", [(1, 1, 0, 0, 0), (3, 0, 1, 0, 0), (2, 2, 0, 0, 0)])
+def test_over_cap_orbit_raises_before_any_shortcut(exps):
+    # I^5_3 has 80 points
+    with pytest.raises(OrbitSizeError):
+        _orbit_monomial_sum(5, 3, exps, 79)
+    cfg = make_config(5, [(1, 1, 1), (3, 1, 1)])
+    with pytest.raises(OrbitSizeError):
+        monomial_residual(cfg, exps, cap=79)
+    with pytest.raises(OrbitSizeError):
+        first_failure(cfg, 7, cap=79)
+
+
+def test_negative_exponent_rejected():
+    cfg = make_config(3, [(1, 1, 1)])
+    for exps in [(-1, 3, 0), (-2, 0, 0), (-1, 0, 0)]:
+        with pytest.raises(ValueError):
+            monomial_residual(cfg, exps)
 
 
 def test_fully_even_orbit_sum_counts_supports():
@@ -117,6 +143,21 @@ class TestStrengthOracle:
     def test_reports_at_least_t_max(self):
         cfg = make_config(3, [(1, 1, 1)])
         assert max_strength_oracle(cfg, t_max=3) == 3
+
+    def test_negative_strength_rejected(self):
+        cfg = make_config(3, [(1, 1, 1)])
+        for check in (first_failure, verify_strength, max_strength_oracle):
+            with pytest.raises(ValueError):
+                check(cfg, -3)
+        assert verify_strength(cfg, 0) and max_strength_oracle(cfg, 0) == 0
+
+    def test_property_g_seven_design_in_dimension_fourteen(self):
+        # G(14; 3, 14) = 0; 2,912 + 16,384 points, beyond the n <= 11 the oracle used to reach
+        result = solve_t7(14, {3, 14}, {3: 1, 14: 1})
+        assert result.feasible
+        assert verify_strength(result.solution, 7)
+        failure = first_failure(result.solution, 9)
+        assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
 
 
 class TestRationalPointEngine:

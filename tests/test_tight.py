@@ -144,6 +144,16 @@ class TestIsTight:
         assert is_tight(cfg, t=5)
         assert not is_tight(cfg, t=3)  # N(3,2,3) = 6 < 14
 
+    def test_explicit_strength_above_the_actual_one_rejected(self):
+        # 14 points on two radii meet N(3,2,5) = 14, but this is only a 3-design
+        cfg = make_config(3, [(1, 1, 1), (3, 2, 1)])
+        assert classify(cfg).strength == 3
+        assert fisher_bound(3, 2, 5).value == cfg.size
+        with pytest.raises(ValueError):
+            is_tight(cfg, t=5)
+        with pytest.raises(ValueError):
+            is_tight(cfg, t=5, confirm_with_oracle=False)
+
 
 class TestSphericalDualLattice:
     def test_cross_polytope_plus_half_cube(self):
