@@ -27,6 +27,7 @@ from .moments import (
 )
 from .numeric import as_rational, binomial, double_factorial, format_rational
 from .orbit import (
+    ConfigError,
     DesignConfig,
     Layer,
     OrbitPoint,
@@ -58,6 +59,7 @@ from .strength import (
     layer_sum_f63,
     layer_sum_f82,
     layer_sum_f84,
+    orbit_sum,
     p_value,
     property_g,
     q_value,

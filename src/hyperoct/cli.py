@@ -114,12 +114,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.t == 5:
-        result = solve_t5(args.n, args.J, args.r2)
-    elif args.t == 7:
-        result = solve_t7(args.n, args.J, args.r2)
-    else:
-        raise SystemExit(2)
+    result = (solve_t5 if args.t == 5 else solve_t7)(args.n, args.J, args.r2)
     lines = [f"feasible: {result.feasible} ({result.reason})"]
     if result.solution:
         for layer in result.solution.layers:

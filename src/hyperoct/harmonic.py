@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numeric import binomial
+from .numeric import binomial, rref
 from .poly import Polynomial, building_block_g
 
 _ONE = Fraction(1)
@@ -276,26 +276,7 @@ def criterion_basis(n: int, s: int) -> CriterionBasis:
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals by Gaussian elimination."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    ncols = len(matrix[0]) if matrix else 0
-    row_idx = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_idx, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[row_idx], matrix[pivot] = matrix[pivot], matrix[row_idx]
-        inv = 1 / matrix[row_idx][col]
-        matrix[row_idx] = [c * inv for c in matrix[row_idx]]
-        for r in range(len(matrix)):
-            if r != row_idx and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_idx])]
-        row_idx += 1
-        rank += 1
-        if row_idx == len(matrix):
-            break
-    return rank
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def rank_of_polynomials(polys: Sequence[Polynomial]) -> int:

@@ -96,14 +96,9 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DE
             left += layer.weight * (layer.r_squared / layer.k) ** half * orbit_sum
     if any(e % 2 for e in exponents):
         return left
-    right = _ZERO
-    for r2 in cfg.norm_spectrum:
-        w_total = sum(
-            (layer.weight * orbit_size(cfg.n, layer.k) for layer in cfg.layers if layer.r_squared == r2),
-            _ZERO,
-        )
-        right += w_total * sphere_monomial_average(cfg.n, exponents, r2)
-    return left - right
+    # the sphere average scales as (r^2)^half, so one unit-sphere average serves every layer
+    mass = sum((layer.weight * orbit_size(cfg.n, layer.k) * layer.r_squared**half for layer in cfg.layers), _ZERO)
+    return left - mass * sphere_monomial_average(cfg.n, exponents, 1)
 
 
 def design_residual(cfg: DesignConfig, f: Polynomial, cap: int = DEFAULT_POINT_CAP) -> Fraction:

@@ -25,6 +25,10 @@ class OrbitSizeError(ValueError):
     """Raised when an orbit enumeration would exceed the configured cap."""
 
 
+class ConfigError(ValueError):
+    """A configuration in the JSON wire format is malformed; the message names the field."""
+
+
 def orbit_size(n: int, k: int) -> int:
     """Number of vectors with exactly k nonzero entries, each +-1."""
     return 2**k * binomial(n, k)
@@ -165,15 +169,21 @@ class DesignConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignConfig":
-        layers = tuple(
-            Layer(
-                k=int(entry["k"]),
-                r_squared=as_rational(entry["r_squared"]),
-                weight=as_rational(entry["weight"]),
-            )
-            for entry in data["layers"]
-        )
-        return cls(n=int(data["n"]), layers=layers)
+        """Load the JSON wire format; raises ConfigError naming the first bad field."""
+        n, entries = _json_fields(data, ("n", "layers"), "configuration")
+        n = _json_int(n, "n")
+        if not isinstance(entries, list):
+            raise ConfigError(f"layers: expected a list, got {type(entries).__name__}")
+        layers = []
+        for i, entry in enumerate(entries):
+            field = f"layers[{i}]"
+            k, r2, weight = _json_fields(entry, ("k", "r_squared", "weight"), field)
+            k = _json_int(k, f"{field}.k")
+            layers.append((k, _json_rational(r2, f"{field}.r_squared"), _json_rational(weight, f"{field}.weight")))
+        try:
+            return make_config(n, layers)
+        except ValueError as exc:
+            raise ConfigError(f"configuration: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -181,6 +191,33 @@ class DesignConfig:
     @classmethod
     def from_json(cls, text: str) -> "DesignConfig":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_fields(data, keys: tuple[str, ...], field: str) -> list:
+    """Values of exactly the given keys of a JSON object, in order."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{field}: expected a JSON object, got {type(data).__name__}")
+    bad = sorted(set(data) ^ set(keys))
+    if bad:
+        raise ConfigError(f"{field}: {'unknown' if bad[0] in data else 'missing'} key {bad[0]!r}")
+    return [data[key] for key in keys]
+
+
+def _json_int(value, field: str) -> int:
+    # bool is a subclass of int, and int() would truncate a float silently
+    if type(value) is not int:
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, field: str) -> Fraction:
+    """An int, or an exact rational string such as 'p/q' with a nonzero denominator."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"{field}: expected an integer or a 'p/q' string, got {value!r}")
 
 
 def make_config(n: int, layers: list[tuple[int, object, object]]) -> DesignConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeric import as_rational, binomial
+from .numeric import as_rational, binomial, rref
 from .orbit import DesignConfig, Layer
 from .strength import g_function, layer_sum_f42, p_value
 
@@ -311,30 +311,13 @@ def tau_table(n: int) -> dict[tuple[int, int], int]:
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace over the rationals."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
+    reduced, pivots = rref(rows, ncols)
     basis = []
     for free_col in (c for c in range(ncols) if c not in pivots):
         vec = [_ZERO] * ncols
         vec[free_col] = _ONE
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -matrix[row_idx][free_col]
+        for row, pivot_col in zip(reduced, pivots):
+            vec[pivot_col] = -row[free_col]
         basis.append(vec)
     return basis
 

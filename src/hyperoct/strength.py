@@ -1,10 +1,10 @@
 """Fast exact strength classification of orbit-union configurations.
 
 A fully symmetric configuration is always a 3-design.  Strength 5 and 7
-are decided by a handful of exact linear conditions built from closed
-forms for the orbit sums of the criterion polynomials, and strength 9 is
-impossible because the degree-8 two-variable criterion sum is strictly
-positive on every orbit.
+are decided by a handful of exact linear conditions on the orbit sums of
+the criterion polynomials of ``harmonic``, all given by one counting rule
+(``orbit_sum``), and strength 9 is impossible because the degree-8
+two-variable criterion sum is strictly positive on every orbit.
 """
 
 from __future__ import annotations
@@ -12,15 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84
 from .numeric import binomial, format_rational
 from .orbit import DesignConfig
+from .poly import Polynomial
 
 _ZERO = Fraction(0)
-
-# residual identifiers in canonical order; f84 is dropped when n = 3
-EQ_IDS_T5 = ("f42_s0",)
-EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
-EQ_IDS_T9 = ("f42_s0", "f42_s1", "f42_s2", "f63_s0", "f63_s1", "f82", "f84")
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
@@ -57,52 +54,67 @@ def q_value(n: int, k: int) -> Fraction:
 # -- orbit sums of the criterion polynomials -------------------------
 
 
+def orbit_sum(poly: Polynomial, n: int, k: int) -> Fraction:
+    """Sum of poly over the unscaled orbit I^n_k, term by term.
+
+    A monomial whose m nonzero exponents are all even is 1 at the 2^k C(n-m, k-m)
+    points whose support covers its variables and 0 elsewhere; one with an odd
+    exponent sums to 0, as flipping that coordinate's sign maps the orbit onto
+    itself and negates it.  Only the exponents matter, not which variables carry them.
+    """
+    return Fraction(_grouped_sum(_support_sums(poly), n, k))
+
+
+def _support_sums(poly: Polynomial) -> dict[int, Fraction | int]:
+    """Coefficient totals of poly's all-even terms, keyed by their number of variables."""
+    sums: dict[int, Fraction] = {}
+    for mono, coeff in poly.terms.items():
+        if all(e % 2 == 0 for _, e in mono):
+            sums[len(mono)] = sums.get(len(mono), 0) + coeff
+    return {m: int(c) if c.denominator == 1 else c for m, c in sums.items()}
+
+
+def _grouped_sum(sums: dict[int, Fraction | int], n: int, k: int):
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return 2**k * sum(c * binomial(n - m, k - m) for m, c in sums.items())
+
+
+# The defining equations in canonical order: each criterion's support sums (integers,
+# grouped once, so a layer sum costs what a closed form did), the power of r^2/k that
+# scales them, and its residual ids, the i-th of which also weights each layer by
+# (r^2)^i.  A criterion whose largest support exceeds n has no embedding (f84, n = 3).
+_EQUATIONS = {
+    "f42": (_support_sums(criterion_f42()), 2, ("f42_s0", "f42_s1", "f42_s2")),
+    "f63": (_support_sums(criterion_f63()), 3, ("f63_s0", "f63_s1")),
+    "f82": (_support_sums(criterion_f82()), 4, ("f82",)),
+    "f84": (_support_sums(criterion_f84()), 4, ("f84",)),
+}
+EQ_IDS_T5 = ("f42_s0",)
+EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
+EQ_IDS_T9 = tuple(eq for _, _, eq_ids in _EQUATIONS.values() for eq in eq_ids)
+
+
 def layer_sum_f42(n: int, k: int) -> int:
     """Sum of x1^4 - 6 x1^2 x2^2 + x2^4 over the unscaled orbit."""
-    _check_layer(n, k)
-    return 2**k * (2 * binomial(n - 1, k - 1) - 6 * binomial(n - 2, k - 2))
+    return _grouped_sum(_EQUATIONS["f42"][0], n, k)
 
 
 def layer_sum_f63(n: int, k: int) -> int:
-    _check_layer(n, k)
-    return 2**k * (
-        6 * binomial(n - 1, k - 1)
-        - 90 * binomial(n - 2, k - 2)
-        + 180 * binomial(n - 3, k - 3)
-    )
+    """Orbit sum of the degree-6 three-variable criterion."""
+    return _grouped_sum(_EQUATIONS["f63"][0], n, k)
 
 
 def layer_sum_f82(n: int, k: int) -> int:
-    """Orbit sum of the degree-8 pair criterion; strictly positive for all k.
-
-    The cross terms -28, +70, -28 each see the same count of points with
-    both coordinates nonzero, so they collapse to a single +14 multiple
-    of C(n-2, k-2).
-    """
-    _check_layer(n, k)
-    return 2**k * (2 * binomial(n - 1, k - 1) + 14 * binomial(n - 2, k - 2))
+    """Orbit sum of the degree-8 pair criterion; strictly positive for all k."""
+    return _grouped_sum(_EQUATIONS["f82"][0], n, k)
 
 
 def layer_sum_f84(n: int, k: int) -> int:
-    """Orbit sum of the degree-8 four-variable criterion.
-
-    Coefficients were fitted from exact enumeration on small orbits and
-    re-verified against enumeration for every n <= 8 (see tests).
-    """
-    _check_layer(n, k)
+    """Orbit sum of the degree-8 four-variable criterion."""
     if n < 4:
         raise ValueError("the four-variable criterion needs n >= 4")
-    return 2**k * (
-        12 * binomial(n - 1, k - 1)
-        - 336 * binomial(n - 2, k - 2)
-        + 2520 * binomial(n - 3, k - 3)
-        - 3780 * binomial(n - 4, k - 4)
-    )
-
-
-def _check_layer(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return _grouped_sum(_EQUATIONS["f84"][0], n, k)
 
 
 @dataclass(frozen=True)
@@ -133,39 +145,15 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     """
     n = cfg.n
     residuals: dict[str, Fraction] = {}
-    for s1 in range(3):
-        total = _ZERO
-        for layer in cfg.layers:
-            total += (
-                layer.weight
-                * layer.r_squared**s1
-                * (layer.r_squared / layer.k) ** 2
-                * layer_sum_f42(n, layer.k)
-            )
-        residuals[f"f42_s{s1}"] = total
-    for s2 in range(2):
-        total = _ZERO
-        for layer in cfg.layers:
-            total += (
-                layer.weight
-                * layer.r_squared**s2
-                * (layer.r_squared / layer.k) ** 3
-                * layer_sum_f63(n, layer.k)
-            )
-        residuals[f"f63_s{s2}"] = total
-    total = _ZERO
-    for layer in cfg.layers:
-        total += (
-            layer.weight * (layer.r_squared / layer.k) ** 4 * layer_sum_f82(n, layer.k)
-        )
-    residuals["f82"] = total
-    if n >= 4:
-        total = _ZERO
-        for layer in cfg.layers:
-            total += (
-                layer.weight * (layer.r_squared / layer.k) ** 4 * layer_sum_f84(n, layer.k)
-            )
-        residuals["f84"] = total
+    for sums, scale, eq_ids in _EQUATIONS.values():
+        if max(sums) > n:
+            continue
+        terms = [
+            (layer.weight * (layer.r_squared / layer.k) ** scale * _grouped_sum(sums, n, layer.k), layer.r_squared)
+            for layer in cfg.layers
+        ]
+        for power, eq in enumerate(eq_ids):
+            residuals[eq] = sum((term * r2**power for term, r2 in terms), _ZERO)
 
     if all(residuals[eq] == 0 for eq in EQ_IDS_T7):
         strength = 7

@@ -13,9 +13,7 @@ from fractions import Fraction
 from .moments import max_strength_oracle
 from .numeric import as_rational, binomial
 from .orbit import DesignConfig, Layer
-from .strength import StrengthReport, classify
-
-_ONE = Fraction(1)
+from .strength import classify
 
 
 def hom_dimension(n: int, s: int) -> int:
@@ -96,8 +94,29 @@ def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
 # -- tightness verdicts ----------------------------------------------
 
 
-def _confirmed_strength(cfg: DesignConfig, confirm_with_oracle: bool) -> StrengthReport:
-    """Closed-form strength report, cross-checked against the oracle for n <= 6."""
+def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool = True) -> bool:
+    """Whether the configuration meets the size bound at strength t.
+
+    Strength and bound come from ``tightness_certificate`` (the oracle
+    cross-check for n <= 6 included, unless disabled); t defaults to the
+    strength, and a larger t raises ValueError since the configuration is
+    not a t-design.  p is the number of distinct squared radii.  Only
+    antipodal configurations are certified, which orbit unions always are.
+    """
+    certificate = tightness_certificate(cfg, confirm_with_oracle)
+    strength = certificate["strength_report"]["strength"]
+    if t is None or t == strength:
+        return certificate["tight"]
+    if t > strength:
+        raise ValueError(f"configuration has strength {strength}, not t={t}")
+    return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
+
+
+def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -> dict:
+    """Machine-checkable certificate: config, strength report, bound, verdict.
+
+    The strength is cross-checked against the oracle for n <= 6 unless disabled.
+    """
     report = classify(cfg)
     if confirm_with_oracle and cfg.n <= 6:
         oracle_t = max_strength_oracle(cfg, t_max=9)
@@ -105,29 +124,6 @@ def _confirmed_strength(cfg: DesignConfig, confirm_with_oracle: bool) -> Strengt
             raise AssertionError(
                 f"classifier strength {report.strength} disagrees with oracle {oracle_t}"
             )
-    return report
-
-
-def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool = True) -> bool:
-    """Whether the configuration meets the size bound at strength t.
-
-    Strength comes from the closed-form classifier (cross-checked against
-    the definition-level oracle for n <= 6 unless disabled); t defaults
-    to it, and a larger t raises ValueError since the configuration is
-    not a t-design.  p is the number of distinct squared radii.  Only
-    antipodal configurations are certified, which orbit unions always are.
-    """
-    strength = _confirmed_strength(cfg, confirm_with_oracle).strength
-    if t is None:
-        t = strength
-    elif t > strength:
-        raise ValueError(f"configuration has strength {strength}, not t={t}")
-    return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
-
-
-def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -> dict:
-    """Machine-checkable certificate: config, strength report, bound, verdict."""
-    report = _confirmed_strength(cfg, confirm_with_oracle)
     bound = fisher_bound(cfg.n, cfg.p, report.strength)
     return {
         "config": cfg.to_json_dict(),

@@ -101,6 +101,21 @@ def raw_positive_weights_exist(matrix) -> bool:
     return positive_nullvector(matrix) is not None
 
 
+# -- malformed configuration files ---------------------------------------
+
+# Each entry maps the text the error message must contain (it names the bad field)
+# to a JSON value that DesignConfig.from_json_dict has to reject.
+MALFORMED_CONFIGS = {
+    "layers[0].weight: expected": {"n": 3, "layers": [{"k": 1, "r_squared": "1", "weight": 0.5}]},
+    "layers[0].r_squared: expected": {"n": 3, "layers": [{"k": 1, "r_squared": "1/0", "weight": "1"}]},
+    "layers: expected a list": {"n": 3, "layers": {"k": 1, "r_squared": "1", "weight": "1"}},
+    "configuration: expected a JSON object": [{"k": 1, "r_squared": "1", "weight": "1"}],
+    "layers[0].k: expected an integer": {"n": 3, "layers": [{"k": 1.7, "r_squared": "1", "weight": "1"}]},
+    "n: expected an integer": {"n": 3.9, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]},
+    "unknown key 'wieght'": {"n": 3, "layers": [{"k": 1, "r_squared": "1", "weight": "1", "wieght": "2"}]},
+}
+
+
 # -- randomized configurations shared by the acceptance suite ----------
 
 R2_CHOICES = (Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(9))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import MALFORMED_CONFIGS
 from hyperoct.cli import main
 from hyperoct.orbit import DesignConfig, make_config
 from hyperoct.tight import tight_5_3d
@@ -91,6 +92,14 @@ class TestVerifyAndClassify:
         code, out, err = run(capsys, "verify", "--config", path, "--t", "-3")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MALFORMED_CONFIGS[field]))
+        code, out, err = run(capsys, "classify", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--config", "/nonexistent.json", "--t", "3")

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational
+from hyperoct.harmonic import matrix_rank
+from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational, rref
+from hyperoct.solver import nullspace
 
 
 def test_binomial_small_values():
@@ -66,3 +69,46 @@ def test_as_rational_accepts_common_forms():
     assert as_rational(Fraction(2, 4)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    # low-rank products plus all-zero rows, so pivots get skipped
+    rank = rng.randint(0, min(nrows, ncols))
+    left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(rank)]
+    rows = [
+        [sum((row[i] * right[i][j] for i in range(rank)), Fraction(0)) for j in range(ncols)]
+        for row in left
+    ]
+    for i in rng.sample(range(nrows), rng.randint(0, nrows)):
+        rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+def test_rref_rank_plus_nullity_is_ncols():
+    rng = random.Random(2024)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_matrix(rng, nrows, ncols)
+        reduced, pivots = rref(rows, ncols)
+        basis = nullspace(rows, ncols)
+        assert len(pivots) + len(basis) == ncols
+        assert matrix_rank(rows) == len(pivots)
+        for vec in basis:
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+        # reduced echelon form: unit pivots, zero elsewhere in pivot columns, zero rows below
+        assert pivots == sorted(pivots)
+        for r, col in enumerate(pivots):
+            assert [row[col] for row in reduced] == [Fraction(int(i == r)) for i in range(nrows)]
+        assert all(v == 0 for row in reduced[len(pivots):] for v in row)
+
+
+def test_rref_empty_and_zero_matrices():
+    assert rref([], 0) == ([], [])
+    assert rref([], 3) == ([], [])
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert matrix_rank([]) == 0
+    zeros = [[0, 0, 0], [0, 0, 0]]
+    assert rref(zeros, 3) == (zeros, [])
+    assert matrix_rank(zeros) == 0
+    assert len(nullspace(zeros, 3)) == 3

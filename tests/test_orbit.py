@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import MALFORMED_CONFIGS
 from hyperoct.numeric import binomial
 from hyperoct.orbit import (
+    ConfigError,
     DesignConfig,
     Layer,
     OrbitSizeError,
@@ -142,3 +144,26 @@ def test_json_schema_shape():
             {"k": 3, "r_squared": "5/8", "weight": "9/32"},
         ],
     }
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_CONFIGS))
+def test_malformed_json_config_names_the_field(field):
+    with pytest.raises(ConfigError) as info:
+        DesignConfig.from_json_dict(MALFORMED_CONFIGS[field])
+    assert field in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"n": True, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}, "n: expected an integer"),
+        ({"n": 3, "layers": [{"k": 1, "r_squared": "1"}]}, "missing key 'weight'"),
+        ({"n": 3, "layers": [{"k": 1, "r_squared": "1", "weight": "-2"}]}, "weight must be positive"),
+        ({"n": 3, "layers": [], "extra": 1}, "unknown key 'extra'"),
+        ({"n": 2, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}, "n >= 3"),
+    ],
+)
+def test_json_config_validation_edge_cases(data, field):
+    with pytest.raises(ConfigError) as info:
+        DesignConfig.from_json_dict(data)
+    assert field in str(info.value)

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerated_layer_sum
+from helpers import enumerated_layer_sum, enumerated_monomial_sum
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
-from hyperoct.moments import design_residual
+from hyperoct.moments import design_residual, monomials_of_degree
 from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config
-from hyperoct.poly import squared_radius_polynomial
+from hyperoct.poly import Polynomial, squared_radius_polynomial
 from hyperoct.solver import solve_t7
 from hyperoct.strength import (
     classify,
@@ -18,6 +18,7 @@ from hyperoct.strength import (
     layer_sum_f63,
     layer_sum_f82,
     layer_sum_f84,
+    orbit_sum,
     p_value,
     property_g,
     q_value,
@@ -129,6 +130,57 @@ class TestLayerSums:
             layer_sum_f42(3, 4)
         with pytest.raises(ValueError):
             layer_sum_f84(3, 2)
+
+
+class TestOrbitSumRule:
+    # the hand-derived closed forms this rule replaced: 2^k * sum_m c_m C(n-m, k-m),
+    # c_m the coefficient total of the criterion's all-even terms on m variables
+    HAND_DERIVED = {
+        "f42": (criterion_f42, layer_sum_f42, {1: 2, 2: -6}),
+        "f63": (criterion_f63, layer_sum_f63, {1: 6, 2: -90, 3: 180}),
+        "f82": (criterion_f82, layer_sum_f82, {1: 2, 2: 14}),
+        "f84": (criterion_f84, layer_sum_f84, {1: 12, 2: -336, 3: 2520, 4: -3780}),
+    }
+
+    def test_every_monomial_matches_enumeration(self):
+        for n in range(1, 7):
+            for degree in range(0, 9, 2):
+                for exps in monomials_of_degree(n, degree):
+                    mono = tuple((v + 1, e) for v, e in enumerate(exps) if e)
+                    poly = Polynomial(n, {mono: 1})
+                    for k in range(1, n + 1):
+                        assert orbit_sum(poly, n, k) == enumerated_monomial_sum(n, k, exps), (n, k, exps)
+
+    def test_criterion_coefficients_by_support_size(self):
+        for name, (criterion, _, expected) in self.HAND_DERIVED.items():
+            by_support: dict[int, Fraction] = {}
+            for mono, coeff in criterion().terms.items():
+                if all(e % 2 == 0 for _, e in mono):
+                    by_support[len(mono)] = by_support.get(len(mono), 0) + coeff
+            assert by_support == expected, name
+
+    def test_layer_sums_equal_hand_derived_closed_forms(self):
+        for name, (_, layer_sum, coeffs) in self.HAND_DERIVED.items():
+            for n in range(4 if name == "f84" else 1, 16):
+                for k in range(1, n + 1):
+                    closed = 2**k * sum(c * binomial(n - m, k - m) for m, c in coeffs.items())
+                    assert layer_sum(n, k) == closed, (name, n, k)
+                    assert type(layer_sum(n, k)) is int
+
+    def test_rational_coefficients_and_odd_terms(self):
+        poly = Polynomial(3, {((1, 2),): Fraction(1, 3), ((1, 1), (2, 1)): 5, ((2, 2), (3, 2)): Fraction(-1, 2)})
+        for n in range(3, 7):
+            for k in range(1, n + 1):
+                expected = Fraction(enumerated_monomial_sum(n, k, (2,) + (0,) * (n - 1)), 3) - Fraction(
+                    enumerated_monomial_sum(n, k, (0, 2, 2) + (0,) * (n - 3)), 2
+                )
+                assert orbit_sum(poly, n, k) == expected, (n, k)
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            orbit_sum(criterion_f42(), 3, 0)
+        with pytest.raises(ValueError):
+            orbit_sum(criterion_f42(), 3, 4)
 
 
 class TestLemmaIdentities:

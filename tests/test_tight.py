@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import PAPER_TABLE_N4_ERRATA_WITNESSES
 from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.orbit import make_config, orbit_union_size
 from hyperoct.strength import classify
@@ -153,6 +154,20 @@ class TestIsTight:
             is_tight(cfg, t=5)
         with pytest.raises(ValueError):
             is_tight(cfg, t=5, confirm_with_oracle=False)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [tight_5_3d(1, 2, 1), tight_7_3d(1, Fraction(8, 3), 1), tight_7_4d(1, 2, 1), *PAPER_TABLE_N4_ERRATA_WITNESSES.values()],
+)
+def test_is_tight_agrees_with_certificate(cfg):
+    certificate = tightness_certificate(cfg)
+    strength = certificate["strength_report"]["strength"]
+    assert is_tight(cfg) is certificate["tight"]
+    for t in range(strength + 1):
+        assert is_tight(cfg, t=t) == (certificate["size"] == fisher_bound(cfg.n, cfg.p, t).value)
+    with pytest.raises(ValueError):
+        is_tight(cfg, t=strength + 1)
 
 
 class TestSphericalDualLattice:
