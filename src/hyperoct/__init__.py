@@ -30,20 +30,17 @@ from .orbit import (
     ConfigError,
     DesignConfig,
     Layer,
-    OrbitPoint,
     OrbitSizeError,
-    enumerate_orbit,
     make_config,
     orbit_size,
     orbit_union_size,
     partition_check,
 )
-from .poly import GegenbauerPoly, Polynomial, building_block_g, count_real_roots, gegenbauer
+from .poly import GegenbauerPoly, Polynomial, building_block_g, gegenbauer
 from .solver import (
     DegenerateRadiusSystem,
     FeasibilityResult,
     five_design_possible,
-    positive_nullvector,
     seven_design_possible,
     solve_radius_Q,
     solve_t5,

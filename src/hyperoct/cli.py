@@ -15,7 +15,7 @@ from fractions import Fraction
 from .harmonic import criterion_basis, full_basis, fully_even_subset
 from .moments import first_failure
 from .numeric import format_rational
-from .orbit import DesignConfig, enumerate_orbit, orbit_size
+from .orbit import DesignConfig, orbit_size, orbit_tuples
 from .solver import solve_t5, solve_t7, tau_table
 from .strength import classify, property_g
 from .tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d, tightness_certificate
@@ -80,7 +80,7 @@ def _cmd_orbit(args) -> int:
     size = orbit_size(args.n, args.k)
     data = {"n": args.n, "k": args.k, "count": size}
     if not args.count_only:
-        data["points"] = [list(pt.coords) for pt in enumerate_orbit(args.n, args.k)]
+        data["points"] = [list(pt) for pt in orbit_tuples(args.n, args.k)]
     _emit(data, pretty=args.pretty, pretty_lines=[f"|I^{args.n}_{args.k}| = {size}"])
     return 0
 

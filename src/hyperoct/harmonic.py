@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numeric import binomial, rref
+from .numeric import binomial
 from .poly import Polynomial, building_block_g
 
 _ONE = Fraction(1)
 
-DEFAULT_MAX_N = 6
-DEFAULT_MAX_S = 8
+MAX_N = 6
+MAX_S = 8
 
 
 def harm_dimension(n: int, s: int) -> int:
@@ -81,13 +81,7 @@ def _descending_chains(s: int, length: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def full_basis(
-    n: int,
-    s: int,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    max_s: int = DEFAULT_MAX_S,
-) -> list[BasisElement]:
+def full_basis(n: int, s: int) -> list[BasisElement]:
     """The Gegenbauer product basis of the degree-s harmonics on n variables.
 
     Each element is indexed by s = m0 >= m1 >= ... >= m_{n-2} >= 0 and
@@ -99,10 +93,8 @@ def full_basis(
         raise ValueError("need n >= 3")
     if s < 1:
         raise ValueError("need s >= 1")
-    if n > max_n or s > max_s:
-        raise ValueError(
-            f"full basis capped at n <= {max_n}, s <= {max_s}; raise the caps explicitly to override"
-        )
+    if n > MAX_N or s > MAX_S:
+        raise ValueError(f"full basis capped at n <= {MAX_N}, s <= {MAX_S}")
     elements = []
     for chain in _descending_chains(s, n - 2):
         ms = (s, *chain)
@@ -269,24 +261,3 @@ def criterion_basis(n: int, s: int) -> CriterionBasis:
         for g in itertools.combinations(range(1, n + 1), j):
             elements.append(embed(seed, g, n))
     return CriterionBasis(n=n, s=s, elements=tuple(elements))
-
-
-# -- exact linear independence ---------------------------------------
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    return len(rref(rows, len(rows[0]) if rows else 0)[1])
-
-
-def rank_of_polynomials(polys: Sequence[Polynomial]) -> int:
-    """Rank of the coefficient matrix of a family of polynomials."""
-    monomials = sorted({mono for p in polys for mono in p.terms})
-    index = {mono: i for i, mono in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monomials)
-        for mono, coeff in p.terms.items():
-            row[index[mono]] = coeff
-        rows.append(row)
-    return matrix_rank(rows)

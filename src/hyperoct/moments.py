@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .numeric import double_factorial
-from .orbit import DEFAULT_POINT_CAP, DesignConfig, check_orbit, orbit_size, orbit_tuples
+from .orbit import DesignConfig, check_orbit, orbit_size, orbit_tuples
 from .poly import Polynomial
 
 _ZERO = Fraction(0)
@@ -52,27 +52,27 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
 
 
 @lru_cache(maxsize=200_000)
-def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...], cap: int) -> int:
+def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
     """Sum of x^alpha over the unscaled orbit points.
 
     Flipping the sign of a coordinate with an odd exponent maps the orbit
     onto itself and negates x^alpha, so the sum is 0.  Otherwise the sum
     is invariant under permuting the exponents and is enumerated once per
-    partition.  The orbit is checked against the cap before either step.
+    partition.  The orbit is checked against the point cap before either step.
     """
-    check_orbit(n, k, cap)
+    check_orbit(n, k)
     if any(e % 2 for e in exponents):
         return 0
-    return _orbit_partition_sum(n, k, tuple(sorted(e for e in exponents if e)), cap)
+    return _orbit_partition_sum(n, k, tuple(sorted(e for e in exponents if e)))
 
 
 @lru_cache(maxsize=4096)
-def _orbit_partition_sum(n: int, k: int, parts: tuple[int, ...], cap: int) -> int:
+def _orbit_partition_sum(n: int, k: int, parts: tuple[int, ...]) -> int:
     """Sum of prod_i x_i^parts[i] over the unscaled orbit points, by enumeration."""
-    return sum(math.prod(map(pow, coords, parts)) for coords in orbit_tuples(n, k, cap))
+    return sum(math.prod(map(pow, coords, parts)) for coords in orbit_tuples(n, k))
 
 
-def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DEFAULT_POINT_CAP) -> Fraction:
+def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     """Weighted design sum minus sphere-average side for one monomial.
 
     Odd total degree is exactly zero on both sides (the configuration is
@@ -91,7 +91,7 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DE
     half = degree // 2
     left = _ZERO
     for layer in cfg.layers:
-        orbit_sum = _orbit_monomial_sum(cfg.n, layer.k, exponents, cap)
+        orbit_sum = _orbit_monomial_sum(cfg.n, layer.k, exponents)
         if orbit_sum:
             left += layer.weight * (layer.r_squared / layer.k) ** half * orbit_sum
     if any(e % 2 for e in exponents):
@@ -101,7 +101,7 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int], cap: int = DE
     return left - mass * sphere_monomial_average(cfg.n, exponents, 1)
 
 
-def design_residual(cfg: DesignConfig, f: Polynomial, cap: int = DEFAULT_POINT_CAP) -> Fraction:
+def design_residual(cfg: DesignConfig, f: Polynomial) -> Fraction:
     """Residual of the defining equation for an arbitrary polynomial."""
     if f.nvars != cfg.n:
         raise ValueError(f"polynomial has {f.nvars} variables, configuration has n={cfg.n}")
@@ -110,7 +110,7 @@ def design_residual(cfg: DesignConfig, f: Polynomial, cap: int = DEFAULT_POINT_C
         exponents = [0] * cfg.n
         for v, e in mono:
             exponents[v - 1] = e
-        total += coeff * monomial_residual(cfg, tuple(exponents), cap)
+        total += coeff * monomial_residual(cfg, tuple(exponents))
     return total
 
 
@@ -129,7 +129,7 @@ class OracleFailure(NamedTuple):
     residual: Fraction
 
 
-def first_failure(cfg: DesignConfig, t_max: int, cap: int = DEFAULT_POINT_CAP) -> OracleFailure | None:
+def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
     """First monomial of degree <= t_max whose residual is nonzero.
 
     Degrees are scanned in increasing order; odd degrees cannot fail for
@@ -139,53 +139,20 @@ def first_failure(cfg: DesignConfig, t_max: int, cap: int = DEFAULT_POINT_CAP) -
         raise ValueError(f"strength must be non-negative, got {t_max}")
     for degree in range(2, t_max + 1, 2):
         for exponents in monomials_of_degree(cfg.n, degree):
-            residual = monomial_residual(cfg, exponents, cap)
+            residual = monomial_residual(cfg, exponents)
             if residual != 0:
                 return OracleFailure(degree, exponents, residual)
     return None
 
 
-def verify_strength(cfg: DesignConfig, t: int, cap: int = DEFAULT_POINT_CAP) -> bool:
+def verify_strength(cfg: DesignConfig, t: int) -> bool:
     """Definition-level check that cfg is a Euclidean t-design."""
-    return first_failure(cfg, t, cap) is None
+    return first_failure(cfg, t) is None
 
 
-def max_strength_oracle(cfg: DesignConfig, t_max: int = 11, cap: int = DEFAULT_POINT_CAP) -> int:
+def max_strength_oracle(cfg: DesignConfig, t_max: int = 11) -> int:
     """Largest t <= t_max passing verify_strength; t_max means 'at least'."""
-    failure = first_failure(cfg, t_max, cap)
+    failure = first_failure(cfg, t_max)
     if failure is None:
         return t_max
     return failure.degree - 1
-
-
-def residual_rational_points(
-    n: int,
-    weighted_points: Sequence[tuple[Sequence, object]],
-    f: Polynomial,
-) -> Fraction:
-    """Residual of the defining equation for an explicit rational point set.
-
-    Independent of the orbit machinery; usable whenever every coordinate
-    is rational (for orbit layers that means r^2/k a perfect square).
-    """
-    if f.nvars != n:
-        raise ValueError("polynomial variable count mismatch")
-    points = [([Fraction(c) for c in coords], Fraction(w)) for coords, w in weighted_points]
-    left = _ZERO
-    groups: dict[Fraction, Fraction] = {}
-    for coords, weight in points:
-        left += weight * f.evaluate(coords)
-        r2 = sum((c * c for c in coords), _ZERO)
-        if r2 == 0:
-            raise ValueError("points must avoid the origin")
-        groups[r2] = groups.get(r2, _ZERO) + weight
-    right = _ZERO
-    for r2, w_total in groups.items():
-        avg = _ZERO
-        for mono, coeff in f.terms.items():
-            exponents = [0] * n
-            for v, e in mono:
-                exponents[v - 1] = e
-            avg += coeff * sphere_monomial_average(n, exponents, r2)
-        right += w_total * avg
-    return left - right

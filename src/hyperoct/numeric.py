@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
-
-Rational = Fraction
 
 
 def binomial(n: int, k: int) -> int:
@@ -49,23 +46,3 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Canonical 'p/q' text form (plain 'p' when the denominator is 1)."""
     return str(Fraction(value))
-
-
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan over the rationals on the first ncols columns: (reduced rows, pivot columns)."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
-        inv = 1 / matrix[top][col]
-        matrix[top] = [v * inv for v in matrix[top]]
-        for r in range(len(matrix)):
-            if r != top and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[top])]
-        pivots.append(col)
-    return matrix, pivots

@@ -18,11 +18,11 @@ from functools import lru_cache
 
 from .numeric import as_rational, binomial, format_rational
 
-DEFAULT_POINT_CAP = 10**6
+POINT_CAP = 10**6
 
 
 class OrbitSizeError(ValueError):
-    """Raised when an orbit enumeration would exceed the configured cap."""
+    """Raised when an orbit enumeration would exceed POINT_CAP points."""
 
 
 class ConfigError(ValueError):
@@ -34,19 +34,19 @@ def orbit_size(n: int, k: int) -> int:
     return 2**k * binomial(n, k)
 
 
-def check_orbit(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> None:
-    """Raise unless 1 <= k <= n and the orbit has at most cap points."""
+def check_orbit(n: int, k: int) -> None:
+    """Raise unless 1 <= k <= n and the orbit has at most POINT_CAP points."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     size = orbit_size(n, k)
-    if size > cap:
-        raise OrbitSizeError(f"orbit has {size} points, cap is {cap}")
+    if size > POINT_CAP:
+        raise OrbitSizeError(f"orbit has {size} points, cap is {POINT_CAP}")
 
 
 @lru_cache(maxsize=256)
-def orbit_tuples(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[int, ...], ...]:
+def orbit_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All orbit points as coordinate tuples, deterministic order."""
-    check_orbit(n, k, cap)
+    check_orbit(n, k)
     points = []
     for support in itertools.combinations(range(n), k):
         for signs in itertools.product((1, -1), repeat=k):
@@ -55,26 +55,6 @@ def orbit_tuples(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> tuple[tuple[in
                 coords[idx] = sign
             points.append(tuple(coords))
     return tuple(points)
-
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    """One unscaled orbit point; coordinates lie in {-1, 0, 1}."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def support(self) -> frozenset[int]:
-        """1-indexed coordinates that are nonzero."""
-        return frozenset(i + 1 for i, c in enumerate(self.coords) if c)
-
-    @property
-    def signs(self) -> dict[int, int]:
-        return {i + 1: c for i, c in enumerate(self.coords) if c}
-
-
-def enumerate_orbit(n: int, k: int, cap: int = DEFAULT_POINT_CAP) -> list[OrbitPoint]:
-    return [OrbitPoint(coords) for coords in orbit_tuples(n, k, cap)]
 
 
 def orbit_union_size(n: int, J) -> int:

@@ -333,63 +333,3 @@ def building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
         part = Polynomial(n, {((k + 1, i),): c}) if i else Polynomial.constant(c, n)
         result = result + part * r2 ** ((d - i) // 2)
     return result
-
-
-# -- univariate helpers for Sturm root counting ----------------------
-
-
-def _uni_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _uni_deriv(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return _uni_trim([coeffs[i] * i for i in range(1, len(coeffs))])
-
-
-def _uni_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = _ZERO
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _uni_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and _uni_trim(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a = _uni_trim(a)
-        if not a:
-            break
-    return a
-
-
-def count_real_roots(coeffs: Sequence, lo, hi) -> int:
-    """Distinct real roots of the polynomial in the open interval (lo, hi).
-
-    Sturm's theorem over exact rationals; endpoints must not be roots.
-    """
-    chain = [_uni_trim([Fraction(c) for c in coeffs])]
-    if not chain[0]:
-        raise ValueError("zero polynomial")
-    deriv = _uni_deriv(chain[0])
-    if deriv:
-        chain.append(deriv)
-        while len(chain[-1]) > 1:
-            rem = _uni_rem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-
-    def sign_changes(x: Fraction) -> int:
-        signs = [v for p in chain if (v := _uni_eval(p, x)) != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
-
-    lo, hi = Fraction(lo), Fraction(hi)
-    if _uni_eval(chain[0], lo) == 0 or _uni_eval(chain[0], hi) == 0:
-        raise ValueError("interval endpoint is a root")
-    return sign_changes(lo) - sign_changes(hi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeric import as_rational, binomial, rref
+from .numeric import as_rational, binomial
 from .orbit import DesignConfig, Layer
 from .strength import g_function, layer_sum_f42, p_value
 
@@ -173,14 +173,27 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     return 1 / y
 
 
-def _triple_weights(
-    n: int, ks: list[int], r2: dict[int, Fraction]
-) -> DesignConfig:
-    """Weights for a feasible sorted triple via the exact ratio formulas."""
+def _sign_pattern(n: int, ks: Sequence[int]) -> tuple[int, int, int] | None:
+    """(G12, G13, G23) of a sorted triple if G12 > 0, G23 > 0 and G13 < 0, else None.
+
+    Every triple 7-design needs this pattern.  At a balanced middle index
+    (3 k2 = n + 2) G12 and G23 are positive, so it reduces to G13 < 0.
+    """
     k1, k2, k3 = ks
     g12 = g_function(n, k1, k2)
-    g13 = g_function(n, k1, k3)
+    if g12 <= 0:
+        return None
     g23 = g_function(n, k2, k3)
+    if g23 <= 0:
+        return None
+    g13 = g_function(n, k1, k3)
+    return (g12, g13, g23) if g13 < 0 else None
+
+
+def _triple_weights(n: int, ks: list[int], r2: dict[int, Fraction], g: tuple[int, int, int]) -> DesignConfig:
+    """Weights for a feasible sorted triple via the exact ratio formulas."""
+    k1, k2, k3 = ks
+    g12, g13, g23 = g
     u1 = _ONE
     u2 = Fraction(k1 - k3, k3 - k2) * Fraction(g13, g23) * (r2[k1] / r2[k2]) ** 3 * u1
     u3 = Fraction(k2 - k1, k3 - k2) * Fraction(g12, g23) * (r2[k1] / r2[k3]) ** 3 * u1
@@ -214,35 +227,32 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
         return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", cfg)
 
     k1, k2, k3 = ks
-    g12 = g_function(n, k1, k2)
-    g13 = g_function(n, k1, k3)
-    g23 = g_function(n, k2, k3)
-    signs_ok = g12 > 0 and g23 > 0 and g13 < 0
+    g = _sign_pattern(n, ks)
     distinct = len({r2[k] for k in ks})
     if distinct == 1:
-        if signs_ok:
+        if g:
             return FeasibilityResult(
-                True, "t7:triple-common-radius", _triple_weights(n, ks, r2)
+                True, "t7:triple-common-radius", _triple_weights(n, ks, r2, g)
             )
         return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
     if distinct == 2:
         if r2[k1] != r2[k3]:
             return FeasibilityResult(False, "t7:triple-two-radii-wrong-pairing")
-        if n % 3 != 1 or 3 * k2 != n + 2:
+        if 3 * k2 != n + 2:
             return FeasibilityResult(False, "t7:triple-two-radii-middle-not-balanced")
-        if g13 >= 0:
+        if not g:
             return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
         return FeasibilityResult(
-            True, "t7:triple-two-radii-balanced-middle", _triple_weights(n, ks, r2)
+            True, "t7:triple-two-radii-balanced-middle", _triple_weights(n, ks, r2, g)
         )
-    if not signs_ok:
+    if not g:
         return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
     coeffs = _q_coefficients(n, ks)
     q_residual = sum(Fraction(c) / r2[k] for c, k in zip(coeffs, ks))
     if q_residual != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
     return FeasibilityResult(
-        True, "t7:triple-three-radii", _triple_weights(n, ks, r2)
+        True, "t7:triple-three-radii", _triple_weights(n, ks, r2, g)
     )
 
 
@@ -250,8 +260,10 @@ def seven_design_possible(n: int, J, p: int) -> bool:
     """Whether some radii with exactly p distinct values and positive weights
     make the union a 7-design.
 
-    For a triple with the G sign pattern, three distinct radii exist iff
-    the middle index is off the balance point: at the balance point the
+    A triple needs the G sign pattern for every p, and for p = 2 also its
+    middle index at the balance point 3 k2 = n + 2.  Given the pattern,
+    three distinct radii exist iff the middle index is off the balance
+    point: at the balance point the
     radius identity forces the outer radii to coincide (the cyclic
     coefficients sum to zero), collapsing the spectrum to two values.
     """
@@ -264,17 +276,10 @@ def seven_design_possible(n: int, J, p: int) -> bool:
     if j == 2:
         return p == 1 and g_function(n, ks[0], ks[1]) == 0
     if j == 3:
-        k1, k2, k3 = ks
-        signs_ok = (
-            g_function(n, k1, k2) > 0
-            and g_function(n, k2, k3) > 0
-            and g_function(n, k1, k3) < 0
-        )
-        if p == 1:
-            return signs_ok
-        if p == 2:
-            return n % 3 == 1 and 3 * k2 == n + 2 and g_function(n, k1, k3) < 0
-        return signs_ok and 3 * k2 != n + 2
+        balanced = 3 * ks[1] == n + 2
+        if (p == 2 and not balanced) or (p == 3 and balanced):
+            return False
+        return _sign_pattern(n, ks) is not None
     raise ValueError("no closed-form criterion for |J| >= 4")
 
 
@@ -304,82 +309,3 @@ def tau_table(n: int) -> dict[tuple[int, int], int]:
         for p in range(1, j + 1):
             table[(p, j)] = tau(n, p, j)
     return table
-
-
-# -- exact positive solutions of homogeneous systems -------------------
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace over the rationals."""
-    reduced, pivots = rref(rows, ncols)
-    basis = []
-    for free_col in (c for c in range(ncols) if c not in pivots):
-        vec = [_ZERO] * ncols
-        vec[free_col] = _ONE
-        for row, pivot_col in zip(reduced, pivots):
-            vec[pivot_col] = -row[free_col]
-        basis.append(vec)
-    return basis
-
-
-def _fourier_motzkin(constraints: list[tuple[list[Fraction], Fraction]], nvars: int) -> list[Fraction] | None:
-    """Witness for a system of linear inequalities sum(c*x) >= b, or None."""
-    if nvars == 0:
-        return [] if all(b <= 0 for _, b in constraints) else None
-    t = nvars - 1
-    lowers: list[tuple[list[Fraction], Fraction]] = []
-    uppers: list[tuple[list[Fraction], Fraction]] = []
-    rest: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, b in constraints:
-        a = coeffs[t]
-        reduced = [c / a for c in coeffs[:t]] if a else list(coeffs[:t])
-        if a == 0:
-            rest.append((reduced, b))
-        elif a > 0:
-            lowers.append((reduced, b / a))
-        else:
-            uppers.append((reduced, b / a))
-    projected = list(rest)
-    for lc, lb in lowers:
-        for uc, ub in uppers:
-            projected.append(([l - u for l, u in zip(lc, uc)], lb - ub))
-    sub = _fourier_motzkin(projected, t)
-    if sub is None:
-        return None
-    lower_vals = [lb - sum(c * x for c, x in zip(lc, sub)) for lc, lb in lowers]
-    upper_vals = [ub - sum(c * x for c, x in zip(uc, sub)) for uc, ub in uppers]
-    if lower_vals and upper_vals:
-        value = (max(lower_vals) + min(upper_vals)) / 2
-    elif lower_vals:
-        value = max(lower_vals)
-    elif upper_vals:
-        value = min(upper_vals)
-    else:
-        value = _ZERO
-    return sub + [value]
-
-
-def positive_nullvector(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Fraction] | None:
-    """Strictly positive x with (rows) x = 0, or None if none exists.
-
-    Scaling makes strict positivity equivalent to x >= 1 componentwise,
-    which is decided exactly by Fourier-Motzkin elimination on the
-    nullspace coordinates.
-    """
-    rows = [list(row) for row in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required when no rows are given")
-        ncols = len(rows[0])
-    basis = nullspace(rows, ncols)
-    if not basis:
-        return None
-    constraints = []
-    for j in range(ncols):
-        constraints.append(([vec[j] for vec in basis], _ONE))
-    lam = _fourier_motzkin(constraints, len(basis))
-    if lam is None:
-        return None
-    x = [sum(l * vec[j] for l, vec in zip(lam, basis)) for j in range(ncols)]
-    assert all(v > 0 for v in x)
-    return x

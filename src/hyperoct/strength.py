@@ -90,7 +90,6 @@ _EQUATIONS = {
     "f82": (_support_sums(criterion_f82()), 4, ("f82",)),
     "f84": (_support_sums(criterion_f84()), 4, ("f84",)),
 }
-EQ_IDS_T5 = ("f42_s0",)
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 EQ_IDS_T9 = tuple(eq for _, _, eq_ids in _EQUATIONS.values() for eq in eq_ids)
 

@@ -50,9 +50,17 @@ def fisher_bound(n: int, p: int, t: int) -> FisherBound:
 # -- the three constructors ------------------------------------------
 
 
+def _parameters(r_squared, rho_squared, weight) -> tuple[Fraction, Fraction, Fraction]:
+    """The family parameters as rationals, checked before any constructor divides by them."""
+    r2, rho2, w = as_rational(r_squared), as_rational(rho_squared), as_rational(weight)
+    if r2 <= 0 or rho2 <= 0:
+        raise ValueError(f"squared radii must be positive, got r2={r2}, rho2={rho2}")
+    return r2, rho2, w
+
+
 def tight_5_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron plus cube in R^3; tight 14-point 5-design when the radii differ."""
-    r2, rho2, w = as_rational(r_squared), as_rational(rho_squared), as_rational(weight)
+    r2, rho2, w = _parameters(r_squared, rho_squared, weight)
     return DesignConfig(
         n=3,
         layers=(
@@ -65,7 +73,7 @@ def tight_5_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
 def tight_7_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron, cuboctahedron, and cube in R^3; tight 26-point 7-design
     when the two parameters differ (the three radii are then distinct)."""
-    r2, rho2, w = as_rational(r_squared), as_rational(rho_squared), as_rational(weight)
+    r2, rho2, w = _parameters(r_squared, rho_squared, weight)
     t = 3 * r2 + 2 * rho2
     return DesignConfig(
         n=3,
@@ -80,7 +88,7 @@ def tight_7_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
 def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Minimal vectors of the checkerboard lattice and of its dual in R^4;
     tight 48-point 7-design when the radii differ."""
-    r2, rho2, w = as_rational(r_squared), as_rational(rho_squared), as_rational(weight)
+    r2, rho2, w = _parameters(r_squared, rho_squared, weight)
     return DesignConfig(
         n=4,
         layers=(
@@ -94,16 +102,16 @@ def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
 # -- tightness verdicts ----------------------------------------------
 
 
-def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool = True) -> bool:
+def is_tight(cfg: DesignConfig, t: int | None = None) -> bool:
     """Whether the configuration meets the size bound at strength t.
 
     Strength and bound come from ``tightness_certificate`` (the oracle
-    cross-check for n <= 6 included, unless disabled); t defaults to the
+    cross-check for n <= 6 included); t defaults to the
     strength, and a larger t raises ValueError since the configuration is
     not a t-design.  p is the number of distinct squared radii.  Only
     antipodal configurations are certified, which orbit unions always are.
     """
-    certificate = tightness_certificate(cfg, confirm_with_oracle)
+    certificate = tightness_certificate(cfg)
     strength = certificate["strength_report"]["strength"]
     if t is None or t == strength:
         return certificate["tight"]
@@ -112,13 +120,13 @@ def is_tight(cfg: DesignConfig, t: int | None = None, confirm_with_oracle: bool 
     return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
 
 
-def tightness_certificate(cfg: DesignConfig, confirm_with_oracle: bool = True) -> dict:
+def tightness_certificate(cfg: DesignConfig) -> dict:
     """Machine-checkable certificate: config, strength report, bound, verdict.
 
-    The strength is cross-checked against the oracle for n <= 6 unless disabled.
+    The strength is cross-checked against the oracle for n <= 6.
     """
     report = classify(cfg)
-    if confirm_with_oracle and cfg.n <= 6:
+    if cfg.n <= 6:
         oracle_t = max_strength_oracle(cfg, t_max=9)
         if oracle_t != report.strength:
             raise AssertionError(

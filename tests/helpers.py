@@ -12,11 +12,12 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from hyperoct.harmonic import embed
+from hyperoct.moments import sphere_monomial_average
 from hyperoct.orbit import DesignConfig, make_config, orbit_tuples
 from hyperoct.poly import Polynomial
-from hyperoct.solver import positive_nullvector
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -65,6 +66,164 @@ def sphere_average_gamma_oracle(n: int, exponents, r_squared) -> Fraction:
     expr /= sympy.gamma(sympy.Rational(n + total, 2))
     assert expr.is_Rational
     return Fraction(r_squared) ** (total // 2) * Fraction(int(expr.p), int(expr.q))
+
+
+# -- exact linear algebra and an explicit point-set residual -------------
+#
+# Only tests use these, so they live here and not in the library: one
+# Gauss-Jordan (rref), the nullspace and rank built on it, positive null
+# vectors by Fourier-Motzkin elimination, and the defining residual of an
+# explicit rational point set, independent of the orbit machinery.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over the rationals on the first ncols columns: (reduced rows, pivot columns)."""
+    matrix = [list(map(Fraction, row)) for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
+        inv = 1 / matrix[top][col]
+        matrix[top] = [v * inv for v in matrix[top]]
+        for r in range(len(matrix)):
+            if r != top and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[top])]
+        pivots.append(col)
+    return matrix, pivots
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace over the rationals."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for free_col in (c for c in range(ncols) if c not in pivots):
+        vec = [_ZERO] * ncols
+        vec[free_col] = _ONE
+        for row, pivot_col in zip(reduced, pivots):
+            vec[pivot_col] = -row[free_col]
+        basis.append(vec)
+    return basis
+
+
+def _fourier_motzkin(constraints: list[tuple[list[Fraction], Fraction]], nvars: int) -> list[Fraction] | None:
+    """Witness for a system of linear inequalities sum(c*x) >= b, or None."""
+    if nvars == 0:
+        return [] if all(b <= 0 for _, b in constraints) else None
+    t = nvars - 1
+    lowers: list[tuple[list[Fraction], Fraction]] = []
+    uppers: list[tuple[list[Fraction], Fraction]] = []
+    rest: list[tuple[list[Fraction], Fraction]] = []
+    for coeffs, b in constraints:
+        a = coeffs[t]
+        reduced = [c / a for c in coeffs[:t]] if a else list(coeffs[:t])
+        if a == 0:
+            rest.append((reduced, b))
+        elif a > 0:
+            lowers.append((reduced, b / a))
+        else:
+            uppers.append((reduced, b / a))
+    projected = list(rest)
+    for lc, lb in lowers:
+        for uc, ub in uppers:
+            projected.append(([l - u for l, u in zip(lc, uc)], lb - ub))
+    sub = _fourier_motzkin(projected, t)
+    if sub is None:
+        return None
+    lower_vals = [lb - sum(c * x for c, x in zip(lc, sub)) for lc, lb in lowers]
+    upper_vals = [ub - sum(c * x for c, x in zip(uc, sub)) for uc, ub in uppers]
+    if lower_vals and upper_vals:
+        value = (max(lower_vals) + min(upper_vals)) / 2
+    elif lower_vals:
+        value = max(lower_vals)
+    elif upper_vals:
+        value = min(upper_vals)
+    else:
+        value = _ZERO
+    return sub + [value]
+
+
+def positive_nullvector(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Fraction] | None:
+    """Strictly positive x with (rows) x = 0, or None if none exists.
+
+    Scaling makes strict positivity equivalent to x >= 1 componentwise,
+    which is decided exactly by Fourier-Motzkin elimination on the
+    nullspace coordinates.
+    """
+    rows = [list(row) for row in rows]
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required when no rows are given")
+        ncols = len(rows[0])
+    basis = nullspace(rows, ncols)
+    if not basis:
+        return None
+    constraints = []
+    for j in range(ncols):
+        constraints.append(([vec[j] for vec in basis], _ONE))
+    lam = _fourier_motzkin(constraints, len(basis))
+    if lam is None:
+        return None
+    x = [sum(l * vec[j] for l, vec in zip(lam, basis)) for j in range(ncols)]
+    assert all(v > 0 for v in x)
+    return x
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals by Gaussian elimination."""
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def rank_of_polynomials(polys: Sequence[Polynomial]) -> int:
+    """Rank of the coefficient matrix of a family of polynomials."""
+    monomials = sorted({mono for p in polys for mono in p.terms})
+    index = {mono: i for i, mono in enumerate(monomials)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(monomials)
+        for mono, coeff in p.terms.items():
+            row[index[mono]] = coeff
+        rows.append(row)
+    return matrix_rank(rows)
+
+
+def residual_rational_points(
+    n: int,
+    weighted_points: Sequence[tuple[Sequence, object]],
+    f: Polynomial,
+) -> Fraction:
+    """Residual of the defining equation for an explicit rational point set.
+
+    Independent of the orbit machinery; usable whenever every coordinate
+    is rational (for orbit layers that means r^2/k a perfect square).
+    """
+    if f.nvars != n:
+        raise ValueError("polynomial variable count mismatch")
+    points = [([Fraction(c) for c in coords], Fraction(w)) for coords, w in weighted_points]
+    left = _ZERO
+    groups: dict[Fraction, Fraction] = {}
+    for coords, weight in points:
+        left += weight * f.evaluate(coords)
+        r2 = sum((c * c for c in coords), _ZERO)
+        if r2 == 0:
+            raise ValueError("points must avoid the origin")
+        groups[r2] = groups.get(r2, _ZERO) + weight
+    right = _ZERO
+    for r2, w_total in groups.items():
+        avg = _ZERO
+        for mono, coeff in f.terms.items():
+            exponents = [0] * n
+            for v, e in mono:
+                exponents[v - 1] = e
+            avg += coeff * sphere_monomial_average(n, exponents, r2)
+        right += w_total * avg
+    return left - right
 
 
 # -- raw feasibility: positive weights for the defining linear systems --
@@ -204,6 +363,17 @@ PAPER_TABLE_N4_ERRATA_WITNESSES = {
 }
 
 
+def seven_design_rows(n: int, J, r2: dict[int, Fraction]) -> list[list[Fraction]]:
+    """The three degree <= 7 defining equations, one column per layer, from the closed forms."""
+    from hyperoct.strength import layer_sum_f42, layer_sum_f63
+
+    return [
+        [(r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],
+        [r2[k] * (r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],
+        [(r2[k] / k) ** 3 * layer_sum_f63(n, k) for k in J],
+    ]
+
+
 def computed_strength_entry(n: int, J: tuple[int, ...], p: int) -> int:
     """Maximum strength for the index set J with exactly p distinct radii.
 
@@ -213,7 +383,7 @@ def computed_strength_entry(n: int, J: tuple[int, ...], p: int) -> int:
     confirmed by the classifier), and 5 falls back to the sign rule.
     """
     from hyperoct.solver import five_design_possible, seven_design_possible
-    from hyperoct.strength import classify, layer_sum_f42, layer_sum_f63
+    from hyperoct.strength import classify
 
     j = len(J)
     assert p <= j
@@ -225,12 +395,7 @@ def computed_strength_entry(n: int, J: tuple[int, ...], p: int) -> int:
             if len(set(values)) != p:
                 continue
             r2 = dict(zip(J, values))
-            rows = [
-                [(r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],
-                [r2[k] * (r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],
-                [(r2[k] / k) ** 3 * layer_sum_f63(n, k) for k in J],
-            ]
-            weights = positive_nullvector(rows)
+            weights = positive_nullvector(seven_design_rows(n, J, r2))
             if weights is not None:
                 cfg = make_config(n, [(k, r2[k], w) for k, w in zip(J, weights)])
                 assert classify(cfg).strength == 7

@@ -20,6 +20,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from helpers import (
     PAPER_TABLE_N3,
@@ -27,9 +28,13 @@ from helpers import (
     PAPER_TABLE_N4_ERRATA,
     PAPER_TABLE_N4_ERRATA_WITNESSES,
     PROPERTY_G_LE_100,
+    R2_CHOICES,
     computed_strength_entry,
     enumerated_layer_sum,
+    positive_nullvector,
     random_configs,
+    rank_of_polynomials,
+    seven_design_rows,
     uniform_spherical_strength,
 )
 from hyperoct.cli import main as cli_main
@@ -41,12 +46,19 @@ from hyperoct.harmonic import (
     fully_even_dimension,
     fully_even_subset,
     harm_dimension,
-    rank_of_polynomials,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config, orbit_union_size
-from hyperoct.solver import tau_table
+from hyperoct.solver import (
+    DegenerateRadiusSystem,
+    five_design_possible,
+    seven_design_possible,
+    solve_radius_Q,
+    solve_t5,
+    solve_t7,
+    tau_table,
+)
 from hyperoct.strength import classify, g_function, layer_sum_f82, p_value, q_value
 from hyperoct.tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d
 
@@ -65,6 +77,77 @@ def shared_random_configs():
 @pytest.fixture(scope="module")
 def shared_oracle_verdicts(shared_random_configs):
     return [max_strength_oracle(cfg, 11) for cfg in shared_random_configs]
+
+
+# -- configurations drawn from the design manifold -----------------------
+#
+# The random fixture above is almost all strength 3, so these draw strength 5
+# and 7 designs: solver outputs for n <= 8 and positive null vectors of the
+# three degree <= 7 equations for four orbits.
+
+MANIFOLD_N = range(3, 9)
+
+
+def _index_sets(n, sizes, keep):
+    return [J for j in sizes for J in itertools.combinations(range(1, n + 1), j) if keep(n, J)]
+
+
+T5_SETS = {n: _index_sets(n, (1, 2), five_design_possible) for n in MANIFOLD_N}
+T7_COMMON_SETS = {n: _index_sets(n, (2, 3), lambda n, J: seven_design_possible(n, J, 1)) for n in MANIFOLD_N}
+T7_THREE_RADII_SETS = {
+    n: sets for n in MANIFOLD_N if (sets := _index_sets(n, (3,), lambda n, J: seven_design_possible(n, J, 3)))
+}
+
+
+@st.composite
+def solver_designs(draw):
+    """A feasible solve_t5/solve_t7 solution: common radius, or three radii via solve_radius_Q."""
+    kind = draw(st.sampled_from(["t5", "t7-common", "t7-three-radii"]))
+    if kind == "t7-three-radii":
+        n = draw(st.sampled_from(sorted(T7_THREE_RADII_SETS)))
+        k1, k2, k3 = draw(st.sampled_from(T7_THREE_RADII_SETS[n]))
+        known = {k1: draw(st.sampled_from(R2_CHOICES)), k2: draw(st.sampled_from(R2_CHOICES))}
+        try:
+            r3 = solve_radius_Q(n, (k1, k2, k3), known)
+        except DegenerateRadiusSystem:
+            r3 = None
+        assume(r3 is not None)
+        result = solve_t7(n, (k1, k2, k3), {**known, k3: r3})
+    else:
+        n = draw(st.sampled_from(MANIFOLD_N))
+        J = draw(st.sampled_from((T5_SETS if kind == "t5" else T7_COMMON_SETS)[n]))
+        r2 = draw(st.sampled_from(R2_CHOICES))
+        result = (solve_t5 if kind == "t5" else solve_t7)(n, J, {k: r2 for k in J})
+    assume(result.feasible)
+    return result.solution
+
+
+@st.composite
+def nullvector_designs(draw):
+    """Positive weights solving the three degree <= 7 equations for four orbits.
+
+    Scans (J, radii) pairs cyclically from a drawn start until the rows that
+    computed_strength_entry also solves have a positive null vector.
+    """
+    n = draw(st.integers(4, 8))
+    sets = list(itertools.combinations(range(1, n + 1), 4))
+    radii = list(itertools.product(R2_CHOICES, repeat=4))
+    total = len(sets) * len(radii)
+    start = draw(st.integers(0, total - 1))
+    for offset in range(total):
+        index = (start + offset) % total
+        J, values = sets[index % len(sets)], radii[index // len(sets)]
+        r2 = dict(zip(J, values))
+        weights = positive_nullvector(seven_design_rows(n, J, r2))
+        if weights is not None:
+            return make_config(n, [(k, r2[k], w) for k, w in zip(J, weights)])
+    raise AssertionError(f"no positive null vector for any four orbits in n={n}")
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(solver_designs(), nullvector_designs()))
+def test_classify_agrees_with_oracle_on_the_design_manifold(cfg):
+    assert classify(cfg).strength == max_strength_oracle(cfg, 9)
 
 
 def test_criterion_01_property_g_list(capsys):

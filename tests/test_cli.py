@@ -144,6 +144,12 @@ class TestTight:
             main(["tight", "--family", "5-3d", "--r2", "1..2", "--rho2", "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("family", ["5-3d", "7-3d", "7-4d"])
+    def test_zero_radius_is_usage_error(self, capsys, family):
+        code, out, err = run(capsys, "tight", "--family", family, "--r2", "1", "--rho2", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestTau:
     def test_table_for_n4(self, capsys):

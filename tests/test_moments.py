@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerated_monomial_sum, sphere_average_gamma_oracle
+from helpers import enumerated_monomial_sum, residual_rational_points, sphere_average_gamma_oracle
 from hyperoct.harmonic import criterion_f42, embed
 from hyperoct.moments import (
     _orbit_monomial_sum,
@@ -12,11 +12,10 @@ from hyperoct.moments import (
     max_strength_oracle,
     monomial_residual,
     monomials_of_degree,
-    residual_rational_points,
     sphere_monomial_average,
     verify_strength,
 )
-from hyperoct.orbit import DEFAULT_POINT_CAP, OrbitSizeError, make_config
+from hyperoct.orbit import POINT_CAP, OrbitSizeError, make_config, orbit_size
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
 
@@ -81,21 +80,23 @@ def test_partially_odd_orbit_sums_vanish_by_enumeration():
             for exps in monomials_of_degree(n, degree):
                 for k in range(1, n + 1):
                     expected = enumerated_monomial_sum(n, k, exps)
-                    assert _orbit_monomial_sum(n, k, exps, DEFAULT_POINT_CAP) == expected, (n, k, exps)
+                    assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
                     if any(e % 2 for e in exps):
                         assert expected == 0, (n, k, exps)
 
 
-@pytest.mark.parametrize("exps", [(1, 1, 0, 0, 0), (3, 0, 1, 0, 0), (2, 2, 0, 0, 0)])
+@pytest.mark.parametrize("exps", [(1, 1), (3, 0, 1), (2, 2)])
 def test_over_cap_orbit_raises_before_any_shortcut(exps):
-    # I^5_3 has 80 points
+    # I^20_10 has 2^10 * C(20, 10) = 189,190,144 points
+    assert orbit_size(20, 10) > POINT_CAP
+    exps = exps + (0,) * (20 - len(exps))
     with pytest.raises(OrbitSizeError):
-        _orbit_monomial_sum(5, 3, exps, 79)
-    cfg = make_config(5, [(1, 1, 1), (3, 1, 1)])
+        _orbit_monomial_sum(20, 10, exps)
+    cfg = make_config(20, [(1, 1, 1), (10, 1, 1)])
     with pytest.raises(OrbitSizeError):
-        monomial_residual(cfg, exps, cap=79)
+        monomial_residual(cfg, exps)
     with pytest.raises(OrbitSizeError):
-        first_failure(cfg, 7, cap=79)
+        first_failure(cfg, 7)
 
 
 def test_negative_exponent_rejected():
@@ -109,8 +110,8 @@ def test_fully_even_orbit_sum_counts_supports():
     # all-even exponents: the sum counts points whose support covers the monomial
     from hyperoct.numeric import binomial
 
-    assert _orbit_monomial_sum(4, 2, (2, 2, 0, 0), DEFAULT_POINT_CAP) == 4 * binomial(2, 0)
-    assert _orbit_monomial_sum(5, 3, (2, 0, 4, 0, 0), DEFAULT_POINT_CAP) == 8 * binomial(3, 1)
+    assert _orbit_monomial_sum(4, 2, (2, 2, 0, 0)) == 4 * binomial(2, 0)
+    assert _orbit_monomial_sum(5, 3, (2, 0, 4, 0, 0)) == 8 * binomial(3, 1)
 
 
 class TestStrengthOracle:

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperoct.harmonic import matrix_rank
-from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational, rref
-from hyperoct.solver import nullspace
+from helpers import matrix_rank, nullspace, rref
+from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational
 
 
 def test_binomial_small_values():

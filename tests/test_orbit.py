@@ -11,7 +11,6 @@ from hyperoct.orbit import (
     DesignConfig,
     Layer,
     OrbitSizeError,
-    enumerate_orbit,
     make_config,
     orbit_tuples,
     orbit_union_size,
@@ -21,17 +20,17 @@ from hyperoct.orbit import (
 
 class TestEnumeration:
     def test_octahedron(self):
-        points = enumerate_orbit(3, 1)
+        points = orbit_tuples(3, 1)
         assert len(points) == 6
-        assert {p.coords for p in points} == {
+        assert set(points) == {
             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
         }
 
     def test_cuboctahedron_count(self):
-        assert len(enumerate_orbit(3, 2)) == 12
+        assert len(orbit_tuples(3, 2)) == 12
 
     def test_full_support_count(self):
-        assert len(enumerate_orbit(4, 4)) == 16
+        assert len(orbit_tuples(4, 4)) == 16
 
     def test_counts_match_formula(self):
         for n in range(1, 7):
@@ -46,14 +45,10 @@ class TestEnumeration:
                 for coords in orbit_tuples(n, k):
                     assert sum(c * c for c in coords) == k
 
-    def test_support_and_signs(self):
-        point = next(p for p in enumerate_orbit(4, 2) if p.coords == (1, 0, -1, 0))
-        assert point.support == {1, 3}
-        assert point.signs == {1: 1, 3: -1}
-
     def test_cap(self):
+        # I^20_10 has 189,190,144 points; the cap is checked before any is built
         with pytest.raises(OrbitSizeError):
-            orbit_tuples(30, 15, cap=1000)
+            orbit_tuples(20, 10)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,47 @@
+"""Guards on the package as a whole: standard-library imports only, and a pinned export list."""
+
+import ast
+import sys
+import types
+from pathlib import Path
+
+import hyperoct
+
+SOURCE = Path(hyperoct.__file__).parent
+
+EXPORTS = [
+    "BasisElement", "ConfigError", "CriterionBasis", "DegenerateRadiusSystem", "DesignConfig",
+    "FeasibilityResult", "FisherBound", "GegenbauerPoly", "Layer", "OrbitSizeError", "Polynomial",
+    "StrengthReport", "as_rational", "binomial", "building_block_g", "classify", "criterion_basis",
+    "design_residual", "double_factorial", "embed", "first_failure", "fisher_bound",
+    "five_design_possible", "format_rational", "full_basis", "fully_even_dimension",
+    "fully_even_subset", "g_function", "gegenbauer", "harm_dimension", "is_tight", "layer_sum_f42",
+    "layer_sum_f63", "layer_sum_f82", "layer_sum_f84", "make_config", "max_strength_oracle",
+    "monomial_residual", "orbit_size", "orbit_sum", "orbit_union_size", "p_value", "partition_check",
+    "property_g", "q_value", "seven_design_possible", "solve_radius_Q", "solve_t5", "solve_t7",
+    "sphere_monomial_average", "tau", "tau_table", "tight_5_3d", "tight_7_3d", "tight_7_4d",
+    "tightness_certificate", "verify_strength",
+]
+
+
+def test_imports_are_relative_or_standard_library():
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside
+
+
+def test_export_list_is_pinned():
+    # adding or removing a public name is deliberate: update this list and the README
+    exported = sorted(
+        name for name, value in vars(hyperoct).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == EXPORTS

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     PROPERTY_G_LE_100,
+    positive_nullvector,
     raw_positive_weights_exist,
     raw_t5_matrix,
     raw_t7_matrix,
@@ -14,7 +15,6 @@ from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
     five_design_possible,
-    positive_nullvector,
     seven_design_possible,
     solve_radius_Q,
     solve_t5,

@@ -152,8 +152,6 @@ class TestIsTight:
         assert fisher_bound(3, 2, 5).value == cfg.size
         with pytest.raises(ValueError):
             is_tight(cfg, t=5)
-        with pytest.raises(ValueError):
-            is_tight(cfg, t=5, confirm_with_oracle=False)
 
 
 @pytest.mark.parametrize(
@@ -168,6 +166,15 @@ def test_is_tight_agrees_with_certificate(cfg):
         assert is_tight(cfg, t=t) == (certificate["size"] == fisher_bound(cfg.n, cfg.p, t).value)
     with pytest.raises(ValueError):
         is_tight(cfg, t=strength + 1)
+
+
+@pytest.mark.parametrize("family", [tight_5_3d, tight_7_3d, tight_7_4d])
+@pytest.mark.parametrize("r2, rho2", [(1, 0), (0, 1), (2, -3), (-1, 2)])
+def test_constructors_reject_non_positive_radii(family, r2, rho2):
+    # checked before any division: rho2 = 0, and 3 r2 + 2 rho2 = 0 in the
+    # 7-3d family, would divide by zero
+    with pytest.raises(ValueError, match="squared radii must be positive"):
+        family(r2, rho2)
 
 
 class TestSphericalDualLattice:
