@@ -139,20 +139,13 @@ def _poly(nvars: int, entries: dict[tuple[tuple[int, int], ...], int]) -> Polyno
 
 
 def criterion_f42() -> Polynomial:
-    return _poly(2, {
-        ((1, 4),): 1,
-        ((1, 2), (2, 2)): -6,
-        ((2, 4),): 1,
-    })
+    """Re((x1 + i x2)^4)."""
+    return _real_imag_powers(4, 1, 2)
 
 
 def criterion_f62() -> Polynomial:
-    return _poly(2, {
-        ((1, 6),): 1,
-        ((1, 4), (2, 2)): -15,
-        ((1, 2), (2, 4)): 15,
-        ((2, 6),): -1,
-    })
+    """Re((x1 + i x2)^6)."""
+    return _real_imag_powers(6, 1, 2)
 
 
 def criterion_f63() -> Polynomial:
@@ -167,13 +160,8 @@ def criterion_f63() -> Polynomial:
 
 
 def criterion_f82() -> Polynomial:
-    return _poly(2, {
-        ((1, 8),): 1,
-        ((1, 6), (2, 2)): -28,
-        ((1, 4), (2, 4)): 70,
-        ((1, 2), (2, 6)): -28,
-        ((2, 8),): 1,
-    })
+    """Re((x1 + i x2)^8)."""
+    return _real_imag_powers(8, 1, 2)
 
 
 def criterion_f831() -> Polynomial:

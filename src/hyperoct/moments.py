@@ -35,6 +35,8 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
     """
     if n < 2:
         raise ValueError("sphere averages need n >= 2")
+    if len(exponents) != n:
+        raise ValueError("monomial has wrong number of variables")
     r_squared = Fraction(r_squared)
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be non-negative")

@@ -31,6 +31,8 @@ class ConfigError(ValueError):
 
 def orbit_size(n: int, k: int) -> int:
     """Number of vectors with exactly k nonzero entries, each +-1."""
+    if n < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got k={k}, n={n}")
     return 2**k * binomial(n, k)
 
 

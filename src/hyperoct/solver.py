@@ -2,8 +2,10 @@
 
 Given a dimension, a set of orbit indices, and squared radii, decides
 whether positive layer weights exist making the union a 5- or 7-design,
-and returns a normalized solution when they do.  Everything is decided
-by exact sign tests and exact linear algebra.
+and returns a normalized solution when they do.  Sign tests decide
+feasibility (p for strength 5, the G form for strength 7); the weights
+and the 7-design radius identity are read off the defining equations of
+``strength.classify`` itself, from the kernel of their orbit-sum columns.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeric import as_rational, binomial
+from .numeric import as_rational
 from .orbit import DesignConfig, Layer
-from .strength import g_function, layer_sum_f42, p_value
+from .strength import g_function, layer_sum_f42, layer_sum_f63, p_value
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -62,19 +63,17 @@ def _validate(n: int, J: Sequence[int]) -> list[int]:
     return ks
 
 
-def _u_to_weight(n: int, k: int, u: Fraction) -> Fraction:
-    """Invert u_k = w_k * 2^(k+1) * C(n-1, k-1) / k^3."""
-    return u * k**3 / (2 ** (k + 1) * binomial(n - 1, k - 1))
-
-
-def _weight_from_normalized_u(n: int, ks: list[int], us: list[Fraction], r2: dict[int, Fraction]) -> DesignConfig:
-    """Scale the u-vector so the smallest-k weight is 1 and build the config."""
-    w0 = _u_to_weight(n, ks[0], us[0])
+def _config(n: int, ks: list[int], r2: dict[int, Fraction], weights: Sequence[Fraction]) -> DesignConfig:
+    """The layers of ks with the given weights, scaled so the smallest-k weight is 1."""
     layers = tuple(
-        Layer(k=k, r_squared=r2[k], weight=_u_to_weight(n, k, u) / w0)
-        for k, u in zip(ks, us)
+        Layer(k=k, r_squared=r2[k], weight=w / weights[0]) for k, w in zip(ks, weights)
     )
     return DesignConfig(n=n, layers=layers)
+
+
+def _f42_row(n: int, ks: list[int], r2: dict[int, Fraction]) -> list[Fraction]:
+    """Each layer's unit-weight term of the f42_s0 equation: (r^2/k)^2 L42(n, k)."""
+    return [(r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in ks]
 
 
 # -- 5-designs --------------------------------------------------------
@@ -95,22 +94,11 @@ def solve_t5(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     if len(ks) == 1:
         k = ks[0]
         if p_value(n, k) == 0:
-            cfg = DesignConfig(n=n, layers=(Layer(k=k, r_squared=r2[k], weight=_ONE),))
-            return FeasibilityResult(True, "t5:single-orbit-balanced", cfg)
+            return FeasibilityResult(True, "t5:single-orbit-balanced", _config(n, ks, r2, [_ONE]))
         return FeasibilityResult(False, "t5:single-orbit-off-balance")
-    k1, k2 = ks
-    b1 = (r2[k1] / k1) ** 2 * layer_sum_f42(n, k1)
-    b2 = (r2[k2] / k2) ** 2 * layer_sum_f42(n, k2)
+    b1, b2 = _f42_row(n, ks, r2)
     if b1 > 0 > b2:
-        w2 = -b1 / b2
-        cfg = DesignConfig(
-            n=n,
-            layers=(
-                Layer(k=k1, r_squared=r2[k1], weight=_ONE),
-                Layer(k=k2, r_squared=r2[k2], weight=w2),
-            ),
-        )
-        return FeasibilityResult(True, "t5:pair-straddles-balance", cfg)
+        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, [b2, -b1]))
     return FeasibilityResult(False, "t5:pair-no-straddle")
 
 
@@ -131,21 +119,26 @@ def five_design_possible(n: int, J) -> bool:
 # -- 7-designs --------------------------------------------------------
 
 
-def _q_coefficients(n: int, ks: Sequence[int]) -> list[int]:
-    """Cyclic coefficients of the 1/r^2 radius identity for a sorted triple."""
-    k = list(ks)
-    coeffs = []
-    for i in range(3):
-        k_next, k_prev = k[(i + 1) % 3], k[(i + 2) % 3]
-        coeffs.append(
-            k[i] * (n + 2 - 3 * k[i]) * (k_next - k_prev) * g_function(n, k_next, k_prev)
-        )
-    return coeffs
+def _triple_kernel(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Kernel c of two 7-design equations over a sorted triple, and the third's coefficients.
+
+    With v_k = w_k (r_k^2)^3 / k^3, the f42_s1 and f63_s0 equations of
+    ``classify`` read sum v_k a_k = 0 and sum v_k b_k = 0 in the integer
+    columns a_k = k L42(n, k) and b_k = L63(n, k).  Their solutions are the
+    multiples of c = a x b, so w_k is proportional to c_k k^3 / (r_k^2)^3, and
+    f42_s0 becomes the radius identity sum c_k a_k / r_k^2 = 0.
+    """
+    a = [k * layer_sum_f42(n, k) for k in ks]
+    b = [layer_sum_f63(n, k) for k in ks]
+    c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    return c, [ck * ak for ck, ak in zip(c, a)]
 
 
 def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     """Third squared radius making the radius identity hold, if positive.
 
+    The identity is the f42_s0 equation of ``classify`` with the weights of
+    the f42_s1/f63_s0 kernel substituted (see ``_triple_kernel``).
     `known` maps two of the three sorted indices to their squared radii.
     Returns None when the forced value is not positive; raises
     DegenerateRadiusSystem when the unknown's coefficient vanishes.
@@ -158,56 +151,48 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     if len(missing) != 1 or set(known) - set(ks):
         raise ValueError("exactly two of the three indices must have known radii")
     m = ks.index(missing[0])
-    coeffs = _q_coefficients(n, ks)
+    coeffs = _triple_kernel(n, ks)[1]
     if coeffs[m] == 0:
         raise DegenerateRadiusSystem(
             f"coefficient of 1/r^2 for k={missing[0]} vanishes; the identity cannot determine it"
         )
-    rhs = _ZERO
-    for i, k in enumerate(ks):
-        if i != m:
-            rhs += Fraction(coeffs[i]) / known[k]
+    rhs = sum(coeffs[i] / known[k] for i, k in enumerate(ks) if i != m)
     y = -rhs / coeffs[m]
     if y <= 0:
         return None
     return 1 / y
 
 
-def _sign_pattern(n: int, ks: Sequence[int]) -> tuple[int, int, int] | None:
-    """(G12, G13, G23) of a sorted triple if G12 > 0, G23 > 0 and G13 < 0, else None.
+def _sign_pattern(n: int, ks: Sequence[int]) -> bool:
+    """Whether G12 > 0, G23 > 0 and G13 < 0 for a sorted triple.
 
-    Every triple 7-design needs this pattern.  At a balanced middle index
-    (3 k2 = n + 2) G12 and G23 are positive, so it reduces to G13 < 0.
+    Every triple 7-design needs this pattern: it is the condition that the
+    kernel vector of ``_triple_kernel`` has one strict sign, so that its
+    weights are positive (the tests check this for n <= 40).  At a balanced
+    middle index (3 k2 = n + 2) G12 and G23 are positive, so it reduces to
+    G13 < 0.
     """
     k1, k2, k3 = ks
-    g12 = g_function(n, k1, k2)
-    if g12 <= 0:
-        return None
-    g23 = g_function(n, k2, k3)
-    if g23 <= 0:
-        return None
-    g13 = g_function(n, k1, k3)
-    return (g12, g13, g23) if g13 < 0 else None
+    return g_function(n, k1, k2) > 0 and g_function(n, k2, k3) > 0 and g_function(n, k1, k3) < 0
 
 
-def _triple_weights(n: int, ks: list[int], r2: dict[int, Fraction], g: tuple[int, int, int]) -> DesignConfig:
-    """Weights for a feasible sorted triple via the exact ratio formulas."""
-    k1, k2, k3 = ks
-    g12, g13, g23 = g
-    u1 = _ONE
-    u2 = Fraction(k1 - k3, k3 - k2) * Fraction(g13, g23) * (r2[k1] / r2[k2]) ** 3 * u1
-    u3 = Fraction(k2 - k1, k3 - k2) * Fraction(g12, g23) * (r2[k1] / r2[k3]) ** 3 * u1
-    return _weight_from_normalized_u(n, ks, [u1, u2, u3], r2)
+_TRIPLE_REASONS = {
+    1: "t7:triple-common-radius",
+    2: "t7:triple-two-radii-balanced-middle",
+    3: "t7:triple-three-radii",
+}
 
 
 def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     """Weight family making the union a 7-design, for up to three orbits.
 
     Radii must be supplied for every index in J (default: all 1).  A pair
-    needs equal radii and a vanishing G value; a triple needs the G sign
-    pattern plus, depending on how many distinct radii appear, either
-    nothing more, a balanced middle index with matching outer radii, or
-    the exact 1/r^2 radius identity.
+    needs equal radii and a vanishing G value; its weights zero the f42
+    equation, as in ``solve_t5``.  A triple needs the G sign pattern, and
+    with two distinct radii also matching outer radii around a balanced
+    middle index; its weights come from the kernel of the f42_s1 and f63_s0
+    equations, and the remaining f42_s0 equation is the 1/r^2 radius
+    identity, which holds by itself on one radius or on two such radii.
     """
     ks = _validate(n, J)
     if len(ks) > 3:
@@ -221,39 +206,23 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
             return FeasibilityResult(False, "t7:pair-radii-differ")
         if g_function(n, k1, k2) != 0:
             return FeasibilityResult(False, "t7:pair-nonzero-g")
-        u1 = _ONE
-        u2 = -u1 * p_value(n, k1) / p_value(n, k2)
-        cfg = _weight_from_normalized_u(n, ks, [u1, u2], r2)
-        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", cfg)
+        b1, b2 = _f42_row(n, ks, r2)
+        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, [b2, -b1]))
 
     k1, k2, k3 = ks
-    g = _sign_pattern(n, ks)
     distinct = len({r2[k] for k in ks})
-    if distinct == 1:
-        if g:
-            return FeasibilityResult(
-                True, "t7:triple-common-radius", _triple_weights(n, ks, r2, g)
-            )
-        return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
     if distinct == 2:
         if r2[k1] != r2[k3]:
             return FeasibilityResult(False, "t7:triple-two-radii-wrong-pairing")
         if 3 * k2 != n + 2:
             return FeasibilityResult(False, "t7:triple-two-radii-middle-not-balanced")
-        if not g:
-            return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
-        return FeasibilityResult(
-            True, "t7:triple-two-radii-balanced-middle", _triple_weights(n, ks, r2, g)
-        )
-    if not g:
+    if not _sign_pattern(n, ks):
         return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
-    coeffs = _q_coefficients(n, ks)
-    q_residual = sum(Fraction(c) / r2[k] for c, k in zip(coeffs, ks))
-    if q_residual != 0:
+    c, coeffs = _triple_kernel(n, ks)
+    if sum(q / r2[k] for q, k in zip(coeffs, ks)) != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
-    return FeasibilityResult(
-        True, "t7:triple-three-radii", _triple_weights(n, ks, r2, g)
-    )
+    weights = [ck * k**3 / r2[k] ** 3 for ck, k in zip(c, ks)]
+    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, weights))
 
 
 def seven_design_possible(n: int, J, p: int) -> bool:
@@ -263,9 +232,9 @@ def seven_design_possible(n: int, J, p: int) -> bool:
     A triple needs the G sign pattern for every p, and for p = 2 also its
     middle index at the balance point 3 k2 = n + 2.  Given the pattern,
     three distinct radii exist iff the middle index is off the balance
-    point: at the balance point the
-    radius identity forces the outer radii to coincide (the cyclic
-    coefficients sum to zero), collapsing the spectrum to two values.
+    point: there the middle coefficient of the radius identity vanishes
+    and the coefficients sum to zero, so the identity forces the outer
+    radii to coincide, collapsing the spectrum to two values.
     """
     ks = _validate(n, J)
     j = len(ks)
@@ -279,7 +248,7 @@ def seven_design_possible(n: int, J, p: int) -> bool:
         balanced = 3 * ks[1] == n + 2
         if (p == 2 and not balanced) or (p == 3 and balanced):
             return False
-        return _sign_pattern(n, ks) is not None
+        return _sign_pattern(n, ks)
     raise ValueError("no closed-form criterion for |J| >= 4")
 
 

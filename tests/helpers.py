@@ -16,8 +16,10 @@ from typing import Sequence
 
 from hyperoct.harmonic import embed
 from hyperoct.moments import sphere_monomial_average
+from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, make_config, orbit_tuples
 from hyperoct.poly import Polynomial
+from hyperoct.strength import g_function, p_value
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -258,6 +260,48 @@ def raw_t7_matrix(n: int, ks, r2: dict[int, Fraction]) -> list[list[Fraction]]:
 
 def raw_positive_weights_exist(matrix) -> bool:
     return positive_nullvector(matrix) is not None
+
+
+# -- the G-form solution of the 7-design equations -------------------------
+#
+# The paper's hand-derived formulas, written in the G quadratic form and a
+# rescaled weight space u_k = w_k 2^(k+1) C(n-1, k-1) / k^3.  The solver reads
+# the same answers off the kernel of the classify equations instead; these are
+# the reference it is checked against.
+
+
+def _u_to_weight(n: int, k: int, u: Fraction) -> Fraction:
+    """Invert u_k = w_k * 2^(k+1) * C(n-1, k-1) / k^3."""
+    return u * k**3 / (2 ** (k + 1) * binomial(n - 1, k - 1))
+
+
+def g_form_q_coefficients(n: int, ks: Sequence[int]) -> list[int]:
+    """Cyclic coefficients k (n+2-3k) (k' - k'') G(k', k'') of the 1/r^2 radius identity, sorted triple."""
+    k = list(ks)
+    coeffs = []
+    for i in range(3):
+        k_next, k_prev = k[(i + 1) % 3], k[(i + 2) % 3]
+        coeffs.append(
+            k[i] * (n + 2 - 3 * k[i]) * (k_next - k_prev) * g_function(n, k_next, k_prev)
+        )
+    return coeffs
+
+
+def g_form_weights(n: int, ks: Sequence[int], r2: dict[int, Fraction]) -> list[Fraction]:
+    """Weights of a 7-design on a G-zero pair (equal radii) or a feasible sorted triple, w = 1 at the smallest k."""
+    if len(ks) == 2:
+        us = [_ONE, -p_value(n, ks[0]) / p_value(n, ks[1])]
+    else:
+        k1, k2, k3 = ks
+        r2 = {k: Fraction(v) for k, v in r2.items()}
+        g12, g13, g23 = g_function(n, k1, k2), g_function(n, k1, k3), g_function(n, k2, k3)
+        us = [
+            _ONE,
+            Fraction(k1 - k3, k3 - k2) * Fraction(g13, g23) * (r2[k1] / r2[k2]) ** 3,
+            Fraction(k2 - k1, k3 - k2) * Fraction(g12, g23) * (r2[k1] / r2[k3]) ** 3,
+        ]
+    w0 = _u_to_weight(n, ks[0], us[0])
+    return [_u_to_weight(n, k, u) / w0 for k, u in zip(ks, us)]
 
 
 # -- malformed configuration files ---------------------------------------

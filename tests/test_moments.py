@@ -39,6 +39,11 @@ class TestSphereAverage:
     def test_fourth_power(self):
         assert sphere_monomial_average(4, (4, 0, 0, 0), 1) == Fraction(1, 8)
 
+    def test_rejects_wrong_variable_count(self):
+        for exps in [(2, 2, 2, 2), (2, 2)]:
+            with pytest.raises(ValueError):
+                sphere_monomial_average(3, exps, 1)
+
     def test_radius_scaling(self):
         base = sphere_monomial_average(3, (2, 2, 0), 1)
         assert sphere_monomial_average(3, (2, 2, 0), Fraction(9, 4)) == base * Fraction(81, 16)

@@ -12,6 +12,7 @@ from hyperoct.orbit import (
     Layer,
     OrbitSizeError,
     make_config,
+    orbit_size,
     orbit_tuples,
     orbit_union_size,
     partition_check,
@@ -53,6 +54,12 @@ class TestEnumeration:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             orbit_tuples(3, 4)
+
+    def test_orbit_size_domain(self):
+        assert orbit_size(3, 4) == 0
+        for n, k in [(3, -1), (-1, 2), (-2, -1)]:
+            with pytest.raises(ValueError):
+                orbit_size(n, k)
 
 
 def test_orbit_closed_under_group_elements():

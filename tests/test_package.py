@@ -1,4 +1,4 @@
-"""Guards on the package as a whole: standard-library imports only, and a pinned export list."""
+"""Guards on the package as a whole: standard-library imports only, no unused import, and a pinned export list."""
 
 import ast
 import sys
@@ -36,6 +36,24 @@ def test_imports_are_relative_or_standard_library():
                 continue
             outside += [(path.name, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_every_import_is_used():
+    # __init__.py imports names only to re-export them
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in imported if name not in used]
+    assert not unused
 
 
 def test_export_list_is_pinned():

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     PROPERTY_G_LE_100,
+    g_form_q_coefficients,
+    g_form_weights,
     positive_nullvector,
     raw_positive_weights_exist,
     raw_t5_matrix,
@@ -14,6 +16,8 @@ from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
+    _sign_pattern,
+    _triple_kernel,
     five_design_possible,
     seven_design_possible,
     solve_radius_Q,
@@ -128,7 +132,7 @@ class TestSolveRadiusQ:
         assert solve_radius_Q(3, (1, 2, 3), {1: 1, 2: 2}) == Fraction(3, 4)
 
     def test_equal_known_radii_recover_the_common_value(self):
-        # with r1 = r2 the cyclic identity forces r6 to the same value,
+        # with r1 = r2 the radius identity forces r6 to the same value,
         # landing back in the single-radius feasible case
         r6 = solve_radius_Q(6, (1, 2, 6), {1: 1, 2: 1})
         assert r6 == 1
@@ -149,8 +153,8 @@ class TestSolveRadiusQ:
             solve_radius_Q(4, (1, 2, 4), {1: 1, 4: 1})
 
     def test_absent_when_forced_negative(self):
-        # c = (-40, 16, 24) at n=3: a small enough middle radius forces
-        # a negative value for the third
+        # the identity's coefficients are proportional to (-40, 16, 24) at n=3:
+        # a small enough middle radius forces a negative value for the third
         assert solve_radius_Q(3, (1, 2, 3), {1: 1, 2: Fraction(1, 4)}) is None
 
     def test_input_validation(self):
@@ -204,6 +208,61 @@ class TestFeasibilityAgainstRawSystems:
                         for values in itertools.product(self.GRID, repeat=jsize)
                     )
                     assert five_design_possible(n, J) == any_feasible
+
+
+class TestKernelAgainstGForm:
+    """The cross-product kernel of the classify equations against the paper's G formulas."""
+
+    GRID = (Fraction(1), Fraction(2), Fraction(3, 4))
+
+    def test_kernel_sign_and_radius_identity_on_every_triple(self):
+        for n in range(3, 41):
+            for ks in itertools.combinations(range(1, n + 1), 3):
+                k1, k2, k3 = ks
+                c, coeffs = _triple_kernel(n, ks)
+                pattern = g_function(n, k1, k2) > 0 and g_function(n, k2, k3) > 0 and g_function(n, k1, k3) < 0
+                one_sign = all(x > 0 for x in c) or all(x < 0 for x in c)
+                assert one_sign == pattern == _sign_pattern(n, ks), (n, ks)
+                # a common nonzero multiple: the same zeros, and every 2x2 minor vanishes
+                ref = g_form_q_coefficients(n, ks)
+                assert any(ref) and [x == 0 for x in coeffs] == [x == 0 for x in ref], (n, ks)
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    assert coeffs[i] * ref[j] == coeffs[j] * ref[i], (n, ks)
+
+    def check(self, n, ks, r2, reason):
+        result = solve_t7(n, ks, r2)
+        assert result.feasible and result.reason == reason, (n, ks, r2)
+        assert [layer.weight for layer in result.solution.layers] == g_form_weights(n, ks, r2), (n, ks, r2)
+        assert classify(result.solution).strength == 7
+
+    def test_triple_weights_match_g_form_on_radius_grid(self):
+        three_radii = 0
+        for n in range(3, 21):
+            for ks in itertools.combinations(range(1, n + 1), 3):
+                if not _sign_pattern(n, ks):
+                    continue
+                k1, k2, k3 = ks
+                self.check(n, ks, {k: Fraction(2) for k in ks}, "t7:triple-common-radius")
+                if 3 * k2 == n + 2:
+                    self.check(n, ks, {k1: 1, k2: Fraction(3, 4), k3: 1}, "t7:triple-two-radii-balanced-middle")
+                    continue
+                for known in ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(3, 4))):
+                    r3 = solve_radius_Q(n, ks, dict(zip((k1, k2), known)))
+                    if r3 is not None:
+                        r2 = {k1: known[0], k2: known[1], k3: r3}
+                        self.check(n, ks, r2, "t7:triple-three-radii")
+                        three_radii += 1
+        assert three_radii > 0
+
+    def test_pair_weights_match_g_form(self):
+        pairs = 0
+        for n in range(3, 41):
+            for ks in itertools.combinations(range(1, n + 1), 2):
+                if g_function(n, *ks) == 0:
+                    pairs += 1
+                    for r in self.GRID:
+                        self.check(n, ks, {k: r for k in ks}, "t7:pair-equal-radius-zero-g")
+        assert pairs > 0
 
 
 class TestSignPatternImpossibility:
