@@ -13,12 +13,9 @@ from .harmonic import (
     criterion_basis,
     embed,
     full_basis,
-    fully_even_dimension,
     fully_even_subset,
-    harm_dimension,
 )
 from .moments import (
-    design_residual,
     first_failure,
     max_strength_oracle,
     monomial_residual,
@@ -33,8 +30,6 @@ from .orbit import (
     OrbitSizeError,
     make_config,
     orbit_size,
-    orbit_union_size,
-    partition_check,
 )
 from .poly import GegenbauerPoly, Polynomial, building_block_g, gegenbauer
 from .solver import (
@@ -59,7 +54,6 @@ from .strength import (
     orbit_sum,
     p_value,
     property_g,
-    q_value,
 )
 from .tight import (
     FisherBound,

@@ -23,18 +23,6 @@ MAX_N = 6
 MAX_S = 8
 
 
-def harm_dimension(n: int, s: int) -> int:
-    """dim of homogeneous harmonic polynomials of degree s on n variables."""
-    return binomial(n + s - 1, n - 1) - binomial(n + s - 3, n - 1)
-
-
-def fully_even_dimension(n: int, s: int) -> int:
-    """dim of the fully even harmonic subspace (s even)."""
-    if s % 2:
-        raise ValueError("fully even harmonics exist only for even degree")
-    return binomial(n + s // 2 - 2, n - 2)
-
-
 @dataclass(frozen=True)
 class BasisElement:
     """One product-basis element: index (m0, ..., m_{n-2}, mu) and its polynomial."""
@@ -114,10 +102,6 @@ def fully_even_subset(basis: Sequence[BasisElement]) -> list[BasisElement]:
         for element in basis
         if element.mu == 1 and all(m % 2 == 0 for m in element.m_values)
     ]
-
-
-def is_fully_even(poly: Polynomial) -> bool:
-    return all(all(e % 2 == 0 for _, e in mono) for mono in poly.terms)
 
 
 def embed(f: Polynomial, g: Sequence[int], n: int) -> Polynomial:

@@ -22,7 +22,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .numeric import double_factorial
 from .orbit import DesignConfig, check_orbit, orbit_size, orbit_tuples
-from .poly import Polynomial
 
 _ZERO = Fraction(0)
 
@@ -101,19 +100,6 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     # the sphere average scales as (r^2)^half, so one unit-sphere average serves every layer
     mass = sum((layer.weight * orbit_size(cfg.n, layer.k) * layer.r_squared**half for layer in cfg.layers), _ZERO)
     return left - mass * sphere_monomial_average(cfg.n, exponents, 1)
-
-
-def design_residual(cfg: DesignConfig, f: Polynomial) -> Fraction:
-    """Residual of the defining equation for an arbitrary polynomial."""
-    if f.nvars != cfg.n:
-        raise ValueError(f"polynomial has {f.nvars} variables, configuration has n={cfg.n}")
-    total = _ZERO
-    for mono, coeff in f.terms.items():
-        exponents = [0] * cfg.n
-        for v, e in mono:
-            exponents[v - 1] = e
-        total += coeff * monomial_residual(cfg, tuple(exponents))
-    return total
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[tuple[int, ...]]:

@@ -36,6 +36,13 @@ def orbit_size(n: int, k: int) -> int:
     return 2**k * binomial(n, k)
 
 
+def orbit_index(k) -> int:
+    """k itself if it is an int; any other type, bool included, raises ValueError instead of being truncated."""
+    if type(k) is not int:
+        raise ValueError(f"orbit index must be an int, got {k!r}")
+    return k
+
+
 def check_orbit(n: int, k: int) -> None:
     """Raise unless 1 <= k <= n and the orbit has at most POINT_CAP points."""
     if not 1 <= k <= n:
@@ -59,26 +66,6 @@ def orbit_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(points)
 
 
-def orbit_union_size(n: int, J) -> int:
-    J = set(J)
-    if not J <= set(range(1, n + 1)):
-        raise ValueError(f"J={sorted(J)} is not a subset of 1..{n}")
-    return sum(orbit_size(n, k) for k in J)
-
-
-def partition_check(n: int) -> bool:
-    """Whether the origin plus all n orbits tile {-1,0,1}^n exactly."""
-    if not 1 <= n <= 12:
-        raise ValueError("partition check supported for 1 <= n <= 12")
-    seen: set[tuple[int, ...]] = {(0,) * n}
-    for k in range(1, n + 1):
-        for coords in orbit_tuples(n, k):
-            if coords in seen:
-                return False
-            seen.add(coords)
-    return len(seen) == 3**n
-
-
 @dataclass(frozen=True)
 class Layer:
     """One scaled orbit: the points (r/sqrt(k)) * I^n_k with one weight."""
@@ -88,6 +75,7 @@ class Layer:
     weight: Fraction
 
     def __post_init__(self):
+        orbit_index(self.k)
         object.__setattr__(self, "r_squared", as_rational(self.r_squared))
         object.__setattr__(self, "weight", as_rational(self.weight))
         if self.k < 1:
@@ -116,10 +104,6 @@ class DesignConfig:
             raise ValueError("layer index k exceeds the dimension")
         if not ks:
             raise ValueError("a configuration needs at least one layer")
-
-    @property
-    def index_set(self) -> frozenset[int]:
-        return frozenset(layer.k for layer in self.layers)
 
     @property
     def norm_spectrum(self) -> frozenset[Fraction]:
@@ -169,10 +153,6 @@ class DesignConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignConfig":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _json_fields(data, keys: tuple[str, ...], field: str) -> list:

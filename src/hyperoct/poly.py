@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
-
-from .numeric import binomial
+from typing import Mapping
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -71,20 +69,6 @@ class Polynomial:
     @classmethod
     def constant(cls, value, nvars: int) -> "Polynomial":
         return cls(nvars, {(): Fraction(value)})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Polynomial":
-        return cls(nvars, {((index, 1),): _ONE})
-
-    @classmethod
-    def from_exponent_dicts(
-        cls, nvars: int, terms: Iterable[tuple[Mapping[int, int], object]]
-    ) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
-        for exps, coeff in terms:
-            mono = _mono_from_map(exps)
-            acc[mono] = acc.get(mono, _ZERO) + Fraction(coeff)
-        return cls(nvars, acc)
 
     # -- ring operations ---------------------------------------------
 
@@ -146,48 +130,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    # -- queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {mono_degree(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
-            )
-        values = [Fraction(x) for x in point]
-        total = _ZERO
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for v, e in mono:
-                prod *= values[v - 1] ** e
-            total += prod
-        return total
-
-    def laplacian(self) -> "Polynomial":
-        """Sum of second partials over all variables."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for v, e in mono:
-                if e < 2:
-                    continue
-                exps = dict(mono)
-                exps[v] = e - 2
-                new = _mono_from_map(exps)
-                acc[new] = acc.get(new, _ZERO) + coeff * e * (e - 1)
-        return Polynomial(self.nvars, acc)
 
     def rename_variables(self, mapping: Mapping[int, int], nvars: int) -> "Polynomial":
         """Relabel variables via an injective map old -> new index."""
@@ -264,47 +206,28 @@ class GegenbauerPoly:
     alpha: Fraction
     coefficients: tuple[Fraction, ...]
 
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**i for i, c in enumerate(self.coefficients)), _ZERO)
-
 
 @lru_cache(maxsize=None)
 def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
-    """Degree-s Gegenbauer polynomial via the Rodrigues formula.
+    """Degree-s Gegenbauer polynomial, scaled as by the Rodrigues formula
+    (-1)^s / (2^s s!) (1-x^2)^(1/2-alpha) d^s/dx^s (1-x^2)^(alpha+s-1/2).
 
-    The s-th derivative of (1-x^2)^(alpha+s-1/2) is carried out
-    symbolically on terms c * x^a * (1-x^2)^(beta0-j); dividing by
-    (1-x^2)^(alpha-1/2) then leaves the exact polynomial
-    (-1)^s / (2^s s!) * sum of c * x^a * (1-x^2)^(s-j).
+    Its leading coefficient is (s+2 alpha)_s / (2^s s!), with (x)_s the rising
+    factorial x(x+1)...(x+s-1).  The differential equation
+    (1-x^2) y'' - (2 alpha+1) x y' + s(s+2 alpha) y = 0 (Szego, Orthogonal
+    Polynomials, 4.7) ties each coefficient to the one two degrees above:
+    a_j = a_(j+2) (j+2)(j+1) / ((j-s)(j+s+2 alpha)), and j+s+2 alpha > 0 for
+    j <= s-2 and alpha > -1.  Coefficients of the other parity stay 0.
     """
     alpha = Fraction(alpha)
     if s < 0:
         raise ValueError("degree must be non-negative")
     if alpha <= -1:
         raise ValueError("Gegenbauer parameter must exceed -1")
-    beta0 = alpha + s - Fraction(1, 2)
-    terms: dict[tuple[int, int], Fraction] = {(0, 0): _ONE}
-    for _ in range(s):
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (a, j), c in terms.items():
-            if a >= 1:
-                key = (a - 1, j)
-                nxt[key] = nxt.get(key, _ZERO) + c * a
-            beta = beta0 - j
-            key = (a + 1, j + 1)
-            nxt[key] = nxt.get(key, _ZERO) + c * (-2) * beta
-        terms = nxt
-
-    scale = Fraction((-1) ** s, 2**s * math.factorial(s))
     coeffs = [_ZERO] * (s + 1)
-    for (a, j), c in terms.items():
-        u_power = s - j
-        for m in range(u_power + 1):
-            coeffs[a + 2 * m] += scale * c * binomial(u_power, m) * (-1) ** m
-    for i, c in enumerate(coeffs):
-        if c and (i - s) % 2:
-            raise AssertionError("Gegenbauer parity violated")
+    coeffs[s] = math.prod((s + 2 * alpha + i for i in range(s)), start=_ONE) / (2**s * math.factorial(s))
+    for j in range(s - 2, -1, -2):
+        coeffs[j] = coeffs[j + 2] * (j + 2) * (j + 1) / ((j - s) * (j + s + 2 * alpha))
     return GegenbauerPoly(degree=s, alpha=alpha, coefficients=tuple(coeffs))
 
 

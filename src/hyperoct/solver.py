@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .numeric import as_rational
-from .orbit import DesignConfig, Layer
+from .orbit import DesignConfig, Layer, orbit_index
 from .strength import g_function, layer_sum_f42, layer_sum_f63, p_value
 
 _ONE = Fraction(1)
@@ -42,7 +42,7 @@ class FeasibilityResult:
 
 def _radius_map(J: Sequence[int], r_squared) -> dict[int, Fraction]:
     J = sorted(set(J))
-    given = {int(k): as_rational(v) for k, v in (r_squared or {}).items()}
+    given = {orbit_index(k): as_rational(v) for k, v in (r_squared or {}).items()}
     unknown = set(given) - set(J)
     if unknown:
         raise ValueError(f"radius given for k not in J: {sorted(unknown)}")
@@ -55,7 +55,7 @@ def _radius_map(J: Sequence[int], r_squared) -> dict[int, Fraction]:
 def _validate(n: int, J: Sequence[int]) -> list[int]:
     if n < 3:
         raise ValueError("need n >= 3")
-    ks = sorted(set(J))
+    ks = sorted({orbit_index(k) for k in J})
     if not ks:
         raise ValueError("J must be nonempty")
     if ks[0] < 1 or ks[-1] > n:
@@ -109,7 +109,10 @@ def five_design_possible(n: int, J) -> bool:
     is independent of radii and weights, so solvability means either every
     coefficient vanishes (single balanced orbit) or mixed signs occur.
     """
-    ks = _validate(n, J)
+    return _five_design_rule(n, _validate(n, J))
+
+
+def _five_design_rule(n: int, ks: Sequence[int]) -> bool:
     ps = [p_value(n, k) for k in ks]
     if len(ks) == 1:
         return ps[0] == 0
@@ -143,12 +146,12 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     Returns None when the forced value is not positive; raises
     DegenerateRadiusSystem when the unknown's coefficient vanishes.
     """
-    ks = sorted(set(ks))
-    if len(ks) != 3 or ks[0] < 1 or ks[-1] > n:
+    ks = _validate(n, ks)
+    if len(ks) != 3:
         raise ValueError("ks must be three distinct indices in 1..n")
-    known = {int(k): as_rational(v) for k, v in known.items()}
+    r2 = _radius_map(ks, known)
     missing = [k for k in ks if k not in known]
-    if len(missing) != 1 or set(known) - set(ks):
+    if len(missing) != 1:
         raise ValueError("exactly two of the three indices must have known radii")
     m = ks.index(missing[0])
     coeffs = _triple_kernel(n, ks)[1]
@@ -156,7 +159,7 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
         raise DegenerateRadiusSystem(
             f"coefficient of 1/r^2 for k={missing[0]} vanishes; the identity cannot determine it"
         )
-    rhs = sum(coeffs[i] / known[k] for i, k in enumerate(ks) if i != m)
+    rhs = sum(coeffs[i] / r2[k] for i, k in enumerate(ks) if i != m)
     y = -rhs / coeffs[m]
     if y <= 0:
         return None
@@ -237,9 +240,13 @@ def seven_design_possible(n: int, J, p: int) -> bool:
     radii to coincide, collapsing the spectrum to two values.
     """
     ks = _validate(n, J)
-    j = len(ks)
-    if not 1 <= p <= j:
+    if not 1 <= p <= len(ks):
         raise ValueError("need 1 <= p <= |J|")
+    return _seven_design_rule(n, ks, p)
+
+
+def _seven_design_rule(n: int, ks: Sequence[int], p: int) -> bool:
+    j = len(ks)
     if j == 1:
         return False
     if j == 2:
@@ -263,10 +270,11 @@ def tau(n: int, p: int, j: int) -> int:
         raise ValueError("need 1 <= p <= j <= 3")
     if j > n:
         raise ValueError("cannot pick j distinct orbit indices in 1..n")
+    # the subsets are valid sorted index tuples by construction, so the rules run unvalidated
     subsets = list(itertools.combinations(range(1, n + 1), j))
-    if any(seven_design_possible(n, J, p) for J in subsets):
+    if any(_seven_design_rule(n, J, p) for J in subsets):
         return 7
-    if any(five_design_possible(n, J) for J in subsets):
+    if any(_five_design_rule(n, J) for J in subsets):
         return 5
     return 3
 

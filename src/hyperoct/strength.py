@@ -43,14 +43,6 @@ def p_value(n: int, k: int) -> Fraction:
     return k * (1 - Fraction(3 * (k - 1), n - 1))
 
 
-def q_value(n: int, k: int) -> Fraction:
-    return 3 * (
-        1
-        - Fraction(15 * (k - 1), n - 1)
-        + Fraction(30 * (k - 1) * (k - 2), (n - 1) * (n - 2))
-    )
-
-
 # -- orbit sums of the criterion polynomials -------------------------
 
 

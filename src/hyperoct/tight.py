@@ -102,22 +102,9 @@ def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
 # -- tightness verdicts ----------------------------------------------
 
 
-def is_tight(cfg: DesignConfig, t: int | None = None) -> bool:
-    """Whether the configuration meets the size bound at strength t.
-
-    Strength and bound come from ``tightness_certificate`` (the oracle
-    cross-check for n <= 6 included); t defaults to the
-    strength, and a larger t raises ValueError since the configuration is
-    not a t-design.  p is the number of distinct squared radii.  Only
-    antipodal configurations are certified, which orbit unions always are.
-    """
-    certificate = tightness_certificate(cfg)
-    strength = certificate["strength_report"]["strength"]
-    if t is None or t == strength:
-        return certificate["tight"]
-    if t > strength:
-        raise ValueError(f"configuration has strength {strength}, not t={t}")
-    return cfg.size == fisher_bound(cfg.n, cfg.p, t).value
+def is_tight(cfg: DesignConfig) -> bool:
+    """Whether the configuration meets the size bound at its strength (see ``tightness_certificate``)."""
+    return tightness_certificate(cfg)["tight"]
 
 
 def tightness_certificate(cfg: DesignConfig) -> dict:

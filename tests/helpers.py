@@ -15,10 +15,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from hyperoct.harmonic import embed
-from hyperoct.moments import sphere_monomial_average
+from hyperoct.moments import monomial_residual, sphere_monomial_average
 from hyperoct.numeric import binomial
-from hyperoct.orbit import DesignConfig, make_config, orbit_tuples
-from hyperoct.poly import Polynomial
+from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
+from hyperoct.poly import Polynomial, mono_degree
 from hyperoct.strength import g_function, p_value
 
 # The published list of integers up to 100 whose G form has a zero.
@@ -39,7 +39,7 @@ def enumerated_layer_sum(poly: Polynomial, n: int, k: int) -> Fraction:
     full = embed(poly, tuple(range(1, poly.nvars + 1)), n)
     total = Fraction(0)
     for pt in orbit_tuples(n, k):
-        total += full.evaluate(pt)
+        total += evaluate(full, pt)
     return total
 
 
@@ -211,7 +211,7 @@ def residual_rational_points(
     left = _ZERO
     groups: dict[Fraction, Fraction] = {}
     for coords, weight in points:
-        left += weight * f.evaluate(coords)
+        left += weight * evaluate(f, coords)
         r2 = sum((c * c for c in coords), _ZERO)
         if r2 == 0:
             raise ValueError("points must avoid the origin")
@@ -226,6 +226,101 @@ def residual_rational_points(
             avg += coeff * sphere_monomial_average(n, exponents, r2)
         right += w_total * avg
     return left - right
+
+
+# -- polynomial, orbit and design references --------------------------------
+#
+# Only tests use these, so they live here and not in the library: evaluation,
+# total degree and Laplacian of a polynomial, the design residual of any
+# polynomial through the monomial oracle, the harmonic dimension counts, the
+# size of an orbit union, the tiling of {-1, 0, 1}^n by the orbits, and the q
+# form that pairs with ``strength.p_value`` in the 5-design identities.
+
+
+def evaluate(poly: Polynomial, point: Sequence) -> Fraction:
+    """Value of poly at a point given by one coordinate per variable."""
+    if len(point) != poly.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, polynomial has {poly.nvars} variables")
+    values = [Fraction(x) for x in point]
+    total = _ZERO
+    for mono, coeff in poly.terms.items():
+        prod = coeff
+        for v, e in mono:
+            prod *= values[v - 1] ** e
+        total += prod
+    return total
+
+
+def degree(poly: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((mono_degree(mono) for mono in poly.terms), default=-1)
+
+
+def laplacian(poly: Polynomial) -> Polynomial:
+    """Sum of second partials over all variables."""
+    acc: dict = {}
+    for mono, coeff in poly.terms.items():
+        for v, e in mono:
+            if e < 2:
+                continue
+            exps = dict(mono)
+            exps[v] = e - 2
+            new = tuple(sorted((u, d) for u, d in exps.items() if d))
+            acc[new] = acc.get(new, _ZERO) + coeff * e * (e - 1)
+    return Polynomial(poly.nvars, acc)
+
+
+def design_residual(cfg: DesignConfig, f: Polynomial) -> Fraction:
+    """Residual of the defining equation for an arbitrary polynomial."""
+    if f.nvars != cfg.n:
+        raise ValueError(f"polynomial has {f.nvars} variables, configuration has n={cfg.n}")
+    total = _ZERO
+    for mono, coeff in f.terms.items():
+        exponents = [0] * cfg.n
+        for v, e in mono:
+            exponents[v - 1] = e
+        total += coeff * monomial_residual(cfg, tuple(exponents))
+    return total
+
+
+def harm_dimension(n: int, s: int) -> int:
+    """dim of homogeneous harmonic polynomials of degree s on n variables."""
+    return binomial(n + s - 1, n - 1) - binomial(n + s - 3, n - 1)
+
+
+def fully_even_dimension(n: int, s: int) -> int:
+    """dim of the fully even harmonic subspace (s even)."""
+    if s % 2:
+        raise ValueError("fully even harmonics exist only for even degree")
+    return binomial(n + s // 2 - 2, n - 2)
+
+
+def orbit_union_size(n: int, J) -> int:
+    J = set(J)
+    if not J <= set(range(1, n + 1)):
+        raise ValueError(f"J={sorted(J)} is not a subset of 1..{n}")
+    return sum(orbit_size(n, k) for k in J)
+
+
+def partition_check(n: int) -> bool:
+    """Whether the origin plus all n orbits tile {-1,0,1}^n exactly."""
+    if not 1 <= n <= 12:
+        raise ValueError("partition check supported for 1 <= n <= 12")
+    seen: set[tuple[int, ...]] = {(0,) * n}
+    for k in range(1, n + 1):
+        for coords in orbit_tuples(n, k):
+            if coords in seen:
+                return False
+            seen.add(coords)
+    return len(seen) == 3**n
+
+
+def q_value(n: int, k: int) -> Fraction:
+    return 3 * (
+        1
+        - Fraction(15 * (k - 1), n - 1)
+        + Fraction(30 * (k - 1) * (k - 2), (n - 1) * (n - 2))
+    )
 
 
 # -- raw feasibility: positive weights for the defining linear systems --

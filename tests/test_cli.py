@@ -177,6 +177,6 @@ class TestBasis:
 def test_round_trip_through_cli_json(capsys, tmp_path):
     cfg = tight_5_3d(Fraction(5, 8), Fraction(7, 3), Fraction(2, 9))
     path = write_config(tmp_path, cfg)
-    assert DesignConfig.from_json((tmp_path / "config.json").read_text()) == cfg
+    assert DesignConfig.from_json_dict(json.loads((tmp_path / "config.json").read_text())) == cfg
     code, _ = run_json(capsys, "classify", "--config", path)
     assert code == 0

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MALFORMED_CONFIGS
+from helpers import MALFORMED_CONFIGS, orbit_union_size, partition_check
 from hyperoct.numeric import binomial
 from hyperoct.orbit import (
     ConfigError,
@@ -14,8 +15,6 @@ from hyperoct.orbit import (
     make_config,
     orbit_size,
     orbit_tuples,
-    orbit_union_size,
-    partition_check,
 )
 
 
@@ -114,10 +113,15 @@ class TestLayerValidation:
         with pytest.raises(ValueError):
             DesignConfig(n=3, layers=())
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, Fraction(1), "1"])
+    def test_orbit_index_must_be_an_int(self, k):
+        # neither truncated nor coerced: 1.5 would otherwise build a config that classify cannot read
+        with pytest.raises(ValueError, match="orbit index must be an int"):
+            make_config(3, [(k, 1, 1)])
+
     def test_layers_sorted_and_properties(self):
         cfg = make_config(4, [(4, 1, 2), (1, 1, 1), (2, 3, 1)])
         assert [layer.k for layer in cfg.layers] == [1, 2, 4]
-        assert cfg.index_set == {1, 2, 4}
         assert cfg.norm_spectrum == {Fraction(1), Fraction(3)}
         assert cfg.p == 2
         assert cfg.size == 8 + 24 + 16
@@ -130,7 +134,7 @@ rationals = st.fractions(min_value=Fraction(1, 100), max_value=100).filter(lambd
 @given(st.lists(rationals, min_size=2, max_size=2), st.lists(rationals, min_size=2, max_size=2))
 def test_json_round_trip_bit_exact(r2s, ws):
     cfg = make_config(4, [(1, r2s[0], ws[0]), (3, r2s[1], ws[1])])
-    again = DesignConfig.from_json(cfg.to_json())
+    again = DesignConfig.from_json_dict(json.loads(cfg.to_json()))
     assert again == cfg
     assert [l.r_squared for l in again.layers] == [l.r_squared for l in cfg.layers]
     assert [l.weight for l in again.layers] == [l.weight for l in cfg.layers]

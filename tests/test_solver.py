@@ -163,6 +163,29 @@ class TestSolveRadiusQ:
         with pytest.raises(ValueError):
             solve_radius_Q(4, (1, 2, 4), {1: 1, 2: 1, 4: 1})
 
+    @pytest.mark.parametrize("known", [{1: 1, 2: -3}, {1: 0, 2: 2}])
+    def test_rejects_non_positive_known_radius(self, known):
+        # {1: 1, 2: -3} would otherwise give 9/17, and {1: 0, 2: 2} divide by zero
+        with pytest.raises(ValueError, match="squared radii must be positive"):
+            solve_radius_Q(3, (1, 2, 3), known)
+
+
+@pytest.mark.parametrize(
+    "solve, J, r_squared",
+    [
+        (solve_t5, [1, 3], {1.5: 2}),
+        (solve_t5, [True, 3], None),
+        (solve_t7, [1.0, 2, 3], None),
+        (solve_t7, [1, 2, 3], {Fraction(2): 1}),
+        (solve_radius_Q, [1, 2, 3], {1.5: 1, 2: 2}),
+        (solve_radius_Q, [1, 2, 3.0], {1: 1, 2: 2}),
+    ],
+)
+def test_orbit_indices_must_be_ints(solve, J, r_squared):
+    # int() used to truncate 1.5 to 1 and read the radius as k = 1's
+    with pytest.raises(ValueError, match="orbit index must be an int"):
+        solve(3, J, r_squared)
+
 
 class TestFeasibilityAgainstRawSystems:
     """Clause decisions must agree with exact positive-solvability of the

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerated_layer_sum, enumerated_monomial_sum
+from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum, q_value
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
-from hyperoct.moments import design_residual, monomials_of_degree
+from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config
 from hyperoct.poly import Polynomial, squared_radius_polynomial
@@ -21,7 +21,6 @@ from hyperoct.strength import (
     orbit_sum,
     p_value,
     property_g,
-    q_value,
 )
 
 

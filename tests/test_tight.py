@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PAPER_TABLE_N4_ERRATA_WITNESSES
+from helpers import PAPER_TABLE_N4_ERRATA_WITNESSES, orbit_union_size
 from hyperoct.moments import max_strength_oracle, verify_strength
-from hyperoct.orbit import make_config, orbit_union_size
+from hyperoct.orbit import make_config
 from hyperoct.strength import classify
 from hyperoct.tight import (
     fisher_bound,
@@ -140,18 +140,12 @@ class TestIsTight:
         assert fisher_bound(3, 1, 7).value == 20
         assert not is_tight(cfg)
 
-    def test_explicit_strength_argument(self):
-        cfg = tight_5_3d(1, 2, 1)
-        assert is_tight(cfg, t=5)
-        assert not is_tight(cfg, t=3)  # N(3,2,3) = 6 < 14
-
-    def test_explicit_strength_above_the_actual_one_rejected(self):
+    def test_meeting_a_higher_strength_bound_is_not_tight(self):
         # 14 points on two radii meet N(3,2,5) = 14, but this is only a 3-design
         cfg = make_config(3, [(1, 1, 1), (3, 2, 1)])
         assert classify(cfg).strength == 3
         assert fisher_bound(3, 2, 5).value == cfg.size
-        with pytest.raises(ValueError):
-            is_tight(cfg, t=5)
+        assert not is_tight(cfg)  # N(3,2,3) = 6 < 14
 
 
 @pytest.mark.parametrize(
@@ -160,12 +154,9 @@ class TestIsTight:
 )
 def test_is_tight_agrees_with_certificate(cfg):
     certificate = tightness_certificate(cfg)
-    strength = certificate["strength_report"]["strength"]
     assert is_tight(cfg) is certificate["tight"]
-    for t in range(strength + 1):
-        assert is_tight(cfg, t=t) == (certificate["size"] == fisher_bound(cfg.n, cfg.p, t).value)
-    with pytest.raises(ValueError):
-        is_tight(cfg, t=strength + 1)
+    strength = certificate["strength_report"]["strength"]
+    assert certificate["tight"] == (cfg.size == fisher_bound(cfg.n, cfg.p, strength).value)
 
 
 @pytest.mark.parametrize("family", [tight_5_3d, tight_7_3d, tight_7_4d])
