@@ -52,7 +52,6 @@ from .strength import (
     layer_sum_f82,
     layer_sum_f84,
     orbit_sum,
-    p_value,
     property_g,
 )
 from .tight import (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .harmonic import criterion_basis, full_basis, fully_even_subset
 from .moments import first_failure
 from .numeric import format_rational
-from .orbit import DesignConfig, orbit_size, orbit_tuples
+from .orbit import ConfigError, DesignConfig, orbit_size, orbit_tuples
 from .solver import solve_t5, solve_t7, tau_table
 from .strength import classify, property_g
 from .tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d, tightness_certificate
@@ -63,7 +63,11 @@ def _parse_index_set(text: str) -> list[int]:
 
 def _load_config(path: str) -> DesignConfig:
     with open(path) as handle:
-        return DesignConfig.from_json_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ConfigError("configuration: JSON nested too deeply") from None
+    return DesignConfig.from_json_dict(data)
 
 
 def _emit(data, pretty_lines=None, pretty: bool = False) -> None:

@@ -162,16 +162,8 @@ def criterion_f831() -> Polynomial:
 
 
 def criterion_f832() -> Polynomial:
-    return _poly(3, {
-        ((1, 8),): 1,
-        ((3, 8),): -1,
-        ((1, 2), (3, 6)): 14,
-        ((2, 2), (3, 6)): 14,
-        ((1, 6), (3, 2)): -14,
-        ((1, 6), (2, 2)): -14,
-        ((1, 4), (2, 2), (3, 2)): 210,
-        ((1, 2), (2, 2), (3, 4)): -210,
-    })
+    """criterion_f831 with x2 and x3 swapped."""
+    return criterion_f831().rename_variables({1: 1, 2: 3, 3: 2}, 3)
 
 
 def criterion_f84() -> Polynomial:

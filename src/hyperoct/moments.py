@@ -121,10 +121,13 @@ def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
     """First monomial of degree <= t_max whose residual is nonzero.
 
     Degrees are scanned in increasing order; odd degrees cannot fail for
-    antipodal configurations and are skipped.
+    antipodal configurations and are skipped.  Every layer's orbit is
+    checked against the point cap before the scan.
     """
     if t_max < 0:
         raise ValueError(f"strength must be non-negative, got {t_max}")
+    for layer in cfg.layers:
+        check_orbit(cfg.n, layer.k)
     for degree in range(2, t_max + 1, 2):
         for exponents in monomials_of_degree(cfg.n, degree):
             residual = monomial_residual(cfg, exponents)

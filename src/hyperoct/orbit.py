@@ -47,6 +47,9 @@ def check_orbit(n: int, k: int) -> None:
     """Raise unless 1 <= k <= n and the orbit has at most POINT_CAP points."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if k >= POINT_CAP.bit_length():
+        # 2^k alone is over the cap, and for a large enough k it would not fit in memory
+        raise OrbitSizeError(f"orbit has at least 2^{k} points, cap is {POINT_CAP}")
     size = orbit_size(n, k)
     if size > POINT_CAP:
         raise OrbitSizeError(f"orbit has {size} points, cap is {POINT_CAP}")

@@ -2,22 +2,24 @@
 
 Given a dimension, a set of orbit indices, and squared radii, decides
 whether positive layer weights exist making the union a 5- or 7-design,
-and returns a normalized solution when they do.  Sign tests decide
-feasibility (p for strength 5, the G form for strength 7); the weights
-and the 7-design radius identity are read off the defining equations of
-``strength.classify`` itself, from the kernel of their orbit-sum columns.
+and returns a normalized solution when they do.  Every answer is read off
+the defining equations of ``strength.classify`` themselves, through their
+integer orbit-sum columns (``_columns``): the signs of the columns and of
+their kernel decide feasibility, and the kernel gives the weights and the
+7-design radius identity.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .numeric import as_rational
 from .orbit import DesignConfig, Layer, orbit_index
-from .strength import g_function, layer_sum_f42, layer_sum_f63, p_value
+from .strength import layer_sum_f42, layer_sum_f63
 
 _ONE = Fraction(1)
 
@@ -71,9 +73,33 @@ def _config(n: int, ks: list[int], r2: dict[int, Fraction], weights: Sequence[Fr
     return DesignConfig(n=n, layers=layers)
 
 
-def _f42_row(n: int, ks: list[int], r2: dict[int, Fraction]) -> list[Fraction]:
-    """Each layer's unit-weight term of the f42_s0 equation: (r^2/k)^2 L42(n, k)."""
-    return [(r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in ks]
+# -- the defining equations as integer columns ---------------------------
+
+
+def _columns(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The integer columns a_k = k L42(n, k) and b_k = L63(n, k) of the classify equations.
+
+    With u_k = w_k (r_k^2)^2 / k^3 and v_k = u_k r_k^2, both positive, the
+    f42_s0, f42_s1 and f63_s0 equations of ``classify`` read sum u_k a_k = 0,
+    sum v_k a_k = 0 and sum v_k b_k = 0.  A weight vector is w_k = x_k k^3 / (r_k^2)^i
+    for the solution x = u (i = 2) or x = v (i = 3).
+    """
+    return [k * layer_sum_f42(n, k) for k in ks], [layer_sum_f63(n, k) for k in ks]
+
+
+def _triple_kernel(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c = a x b over a triple: the solutions v of sum v_k a_k = sum v_k b_k = 0 are its multiples.
+
+    As c is orthogonal to a, the remaining f42_s0 equation, sum u_k a_k = 0
+    with u_k = v_k / r_k^2, becomes the radius identity sum c_k a_k / r_k^2 = 0,
+    whose coefficients sum to 0.
+    """
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _weights(ks: Sequence[int], r2: dict[int, Fraction], x: Sequence[int], power: int) -> list[Fraction]:
+    """The weights w_k = x_k k^3 / (r_k^2)^power of a solution x of the column equations."""
+    return [xk * k**3 / r2[k] ** power for xk, k in zip(x, ks)]
 
 
 # -- 5-designs --------------------------------------------------------
@@ -82,59 +108,41 @@ def _f42_row(n: int, ks: list[int], r2: dict[int, Fraction]) -> list[Fraction]:
 def solve_t5(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     """Weight family making the union a 5-design, for one or two orbits.
 
-    A single orbit works exactly when its index sits at the balance point
-    (n+2)/3; a pair works exactly when the indices straddle it, in which
-    case the unique weight ratio is returned normalized to w = 1 on the
-    smaller index.
+    A single orbit works exactly when its column a_k vanishes, at the
+    balance point 3k = n + 2; a pair works exactly when its two a_k have
+    opposite signs, in which case the unique weight ratio is returned
+    normalized to w = 1 on the smaller index.
     """
     ks = _validate(n, J)
     if len(ks) > 2:
         raise ValueError("closed-form 5-design solving covers |J| <= 2")
     r2 = _radius_map(ks, r_squared)
+    a = _columns(n, ks)[0]
+    feasible = _five_design_rule(a)
     if len(ks) == 1:
-        k = ks[0]
-        if p_value(n, k) == 0:
+        if feasible:
             return FeasibilityResult(True, "t5:single-orbit-balanced", _config(n, ks, r2, [_ONE]))
         return FeasibilityResult(False, "t5:single-orbit-off-balance")
-    b1, b2 = _f42_row(n, ks, r2)
-    if b1 > 0 > b2:
-        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, [b2, -b1]))
+    if feasible:
+        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, _weights(ks, r2, (-a[1], a[0]), 2)))
     return FeasibilityResult(False, "t5:pair-no-straddle")
 
 
 def five_design_possible(n: int, J) -> bool:
     """Whether some positive weights make the union a 5-design (any radii).
 
-    The single defining equation has one coefficient per layer whose sign
-    is independent of radii and weights, so solvability means either every
-    coefficient vanishes (single balanced orbit) or mixed signs occur.
+    The single defining equation is sum u_k a_k = 0 over positive u_k, so it
+    is solvable iff every a_k vanishes (a single balanced orbit) or the a_k
+    take both signs.
     """
-    return _five_design_rule(n, _validate(n, J))
+    return _five_design_rule(_columns(n, _validate(n, J))[0])
 
 
-def _five_design_rule(n: int, ks: Sequence[int]) -> bool:
-    ps = [p_value(n, k) for k in ks]
-    if len(ks) == 1:
-        return ps[0] == 0
-    return any(p > 0 for p in ps) and any(p < 0 for p in ps)
+def _five_design_rule(a: Sequence[int]) -> bool:
+    return min(a) < 0 < max(a) or not any(a)
 
 
 # -- 7-designs --------------------------------------------------------
-
-
-def _triple_kernel(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Kernel c of two 7-design equations over a sorted triple, and the third's coefficients.
-
-    With v_k = w_k (r_k^2)^3 / k^3, the f42_s1 and f63_s0 equations of
-    ``classify`` read sum v_k a_k = 0 and sum v_k b_k = 0 in the integer
-    columns a_k = k L42(n, k) and b_k = L63(n, k).  Their solutions are the
-    multiples of c = a x b, so w_k is proportional to c_k k^3 / (r_k^2)^3, and
-    f42_s0 becomes the radius identity sum c_k a_k / r_k^2 = 0.
-    """
-    a = [k * layer_sum_f42(n, k) for k in ks]
-    b = [layer_sum_f63(n, k) for k in ks]
-    c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    return c, [ck * ak for ck, ak in zip(c, a)]
 
 
 def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
@@ -154,7 +162,8 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     if len(missing) != 1:
         raise ValueError("exactly two of the three indices must have known radii")
     m = ks.index(missing[0])
-    coeffs = _triple_kernel(n, ks)[1]
+    a, b = _columns(n, ks)
+    coeffs = [ck * ak for ck, ak in zip(_triple_kernel(a, b), a)]
     if coeffs[m] == 0:
         raise DegenerateRadiusSystem(
             f"coefficient of 1/r^2 for k={missing[0]} vanishes; the identity cannot determine it"
@@ -164,19 +173,6 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
     if y <= 0:
         return None
     return 1 / y
-
-
-def _sign_pattern(n: int, ks: Sequence[int]) -> bool:
-    """Whether G12 > 0, G23 > 0 and G13 < 0 for a sorted triple.
-
-    Every triple 7-design needs this pattern: it is the condition that the
-    kernel vector of ``_triple_kernel`` has one strict sign, so that its
-    weights are positive (the tests check this for n <= 40).  At a balanced
-    middle index (3 k2 = n + 2) G12 and G23 are positive, so it reduces to
-    G13 < 0.
-    """
-    k1, k2, k3 = ks
-    return g_function(n, k1, k2) > 0 and g_function(n, k2, k3) > 0 and g_function(n, k1, k3) < 0
 
 
 _TRIPLE_REASONS = {
@@ -190,12 +186,11 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     """Weight family making the union a 7-design, for up to three orbits.
 
     Radii must be supplied for every index in J (default: all 1).  A pair
-    needs equal radii and a vanishing G value; its weights zero the f42
-    equation, as in ``solve_t5``.  A triple needs the G sign pattern, and
-    with two distinct radii also matching outer radii around a balanced
-    middle index; its weights come from the kernel of the f42_s1 and f63_s0
-    equations, and the remaining f42_s0 equation is the 1/r^2 radius
-    identity, which holds by itself on one radius or on two such radii.
+    needs equal radii and the column condition of ``seven_design_possible``.
+    A triple needs that condition, and with two distinct radii also matching
+    outer radii around a middle index with a_k = 0; its weights are
+    w_k = c_k k^3 / (r_k^2)^3, and the remaining f42_s0 equation is the 1/r^2
+    radius identity, which holds by itself on one radius or on two such radii.
     """
     ks = _validate(n, J)
     if len(ks) > 3:
@@ -203,86 +198,89 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     r2 = _radius_map(ks, r_squared)
     if len(ks) == 1:
         return FeasibilityResult(False, "t7:single-orbit")
+    a, b = _columns(n, ks)
     if len(ks) == 2:
-        k1, k2 = ks
-        if r2[k1] != r2[k2]:
+        if r2[ks[0]] != r2[ks[1]]:
             return FeasibilityResult(False, "t7:pair-radii-differ")
-        if g_function(n, k1, k2) != 0:
+        if not _seven_design_rule(a, b, 1):
             return FeasibilityResult(False, "t7:pair-nonzero-g")
-        b1, b2 = _f42_row(n, ks, r2)
-        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, [b2, -b1]))
+        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, _weights(ks, r2, (-a[1], a[0]), 3)))
 
     k1, k2, k3 = ks
     distinct = len({r2[k] for k in ks})
     if distinct == 2:
         if r2[k1] != r2[k3]:
             return FeasibilityResult(False, "t7:triple-two-radii-wrong-pairing")
-        if 3 * k2 != n + 2:
+        if a[1] != 0:
             return FeasibilityResult(False, "t7:triple-two-radii-middle-not-balanced")
-    if not _sign_pattern(n, ks):
+    if not _seven_design_rule(a, b, 1):
         return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
-    c, coeffs = _triple_kernel(n, ks)
-    if sum(q / r2[k] for q, k in zip(coeffs, ks)) != 0:
+    c = _triple_kernel(a, b)
+    if sum(ck * ak / r2[k] for ck, ak, k in zip(c, a, ks)) != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
-    weights = [ck * k**3 / r2[k] ** 3 for ck, k in zip(c, ks)]
-    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, weights))
+    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, _weights(ks, r2, c, 3)))
 
 
 def seven_design_possible(n: int, J, p: int) -> bool:
     """Whether some radii with exactly p distinct values and positive weights
     make the union a 7-design.
 
-    A triple needs the G sign pattern for every p, and for p = 2 also its
-    middle index at the balance point 3 k2 = n + 2.  Given the pattern,
-    three distinct radii exist iff the middle index is off the balance
-    point: there the middle coefficient of the radius identity vanishes
-    and the coefficients sum to zero, so the identity forces the outer
-    radii to coincide, collapsing the spectrum to two values.
+    The f42_s1 and f63_s0 equations need a positive solution v of the
+    columns (see ``_columns``).  For a pair that means opposite-signed a_k
+    and parallel columns, a1 b2 = a2 b1; the f42_s0 equation then asks for
+    one radius.  For a triple it means that c = a x b has one strict sign.
+    The radius identity sum c_k a_k / r_k^2 = 0 then holds on one radius for
+    any triple.  Two radii need the coefficient of the odd one out to vanish,
+    which happens only at a middle index with a_k = 0, and then force the
+    outer radii to coincide; so three distinct radii exist iff the middle
+    a_k is nonzero.
     """
     ks = _validate(n, J)
     if not 1 <= p <= len(ks):
         raise ValueError("need 1 <= p <= |J|")
-    return _seven_design_rule(n, ks, p)
+    if len(ks) > 3:
+        raise ValueError("no closed-form criterion for |J| >= 4")
+    return _seven_design_rule(*_columns(n, ks), p)
 
 
-def _seven_design_rule(n: int, ks: Sequence[int], p: int) -> bool:
-    j = len(ks)
-    if j == 1:
-        return False
-    if j == 2:
-        return p == 1 and g_function(n, ks[0], ks[1]) == 0
-    if j == 3:
-        balanced = 3 * ks[1] == n + 2
-        if (p == 2 and not balanced) or (p == 3 and balanced):
+def _seven_design_rule(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    if len(a) == 3:
+        if p > 1 and (a[1] == 0) != (p == 2):
             return False
-        return _sign_pattern(n, ks)
-    raise ValueError("no closed-form criterion for |J| >= 4")
+        c = _triple_kernel(a, b)
+        return min(c) > 0 or max(c) < 0
+    return len(a) == 2 and p == 1 and a[0] * a[1] < 0 and a[0] * b[1] == a[1] * b[0]
 
 
 # -- maximum strength over all index sets ------------------------------
 
 
-def tau(n: int, p: int, j: int) -> int:
-    """Maximum strength over all unions of j orbits on p concentric spheres."""
+def _check_scan(n: int) -> None:
     if n < 3:
         raise ValueError("need n >= 3")
+    if n > sys.maxsize:
+        raise ValueError(f"need n <= {sys.maxsize} to scan the index sets, got n={n}")
+
+
+def tau(n: int, p: int, j: int) -> int:
+    """Maximum strength over all unions of j orbits on p concentric spheres."""
+    _check_scan(n)
     if not 1 <= p <= j <= 3:
         raise ValueError("need 1 <= p <= j <= 3")
-    if j > n:
-        raise ValueError("cannot pick j distinct orbit indices in 1..n")
-    # the subsets are valid sorted index tuples by construction, so the rules run unvalidated
-    subsets = list(itertools.combinations(range(1, n + 1), j))
-    if any(_seven_design_rule(n, J, p) for J in subsets):
+    return _tau(*_columns(n, range(1, n + 1)), p, j)
+
+
+def _tau(a: list[int], b: list[int], p: int, j: int) -> int:
+    """tau(p, j) from the columns a, b of the orbit indices 1..n, taken j at a time."""
+    if any(_seven_design_rule(x, y, p) for x, y in zip(itertools.combinations(a, j), itertools.combinations(b, j))):
         return 7
-    if any(_five_design_rule(n, J) for J in subsets):
+    if any(_five_design_rule(x) for x in itertools.combinations(a, j)):
         return 5
     return 3
 
 
 def tau_table(n: int) -> dict[tuple[int, int], int]:
-    """All tau(p, j) values for 1 <= p <= j <= min(3, n)."""
-    table = {}
-    for j in range(1, min(3, n) + 1):
-        for p in range(1, j + 1):
-            table[(p, j)] = tau(n, p, j)
-    return table
+    """All tau(p, j) values for 1 <= p <= j <= 3."""
+    _check_scan(n)
+    a, b = _columns(n, range(1, n + 1))
+    return {(p, j): _tau(a, b, p, j) for j in range(1, 4) for p in range(1, j + 1)}

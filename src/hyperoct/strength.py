@@ -38,11 +38,6 @@ def property_g(n: int) -> tuple[int, int] | None:
     return None
 
 
-def p_value(n: int, k: int) -> Fraction:
-    """k * (1 - 3(k-1)/(n-1)); sign tells which side of (n+2)/3 k lies on."""
-    return k * (1 - Fraction(3 * (k - 1), n - 1))
-
-
 # -- orbit sums of the criterion polynomials -------------------------
 
 

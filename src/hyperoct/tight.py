@@ -2,17 +2,19 @@
 
 The lower bound counts homogeneous polynomial dimensions per sphere; a
 design meeting it exactly is tight.  Constructors return the weighted
-orbit unions that achieve the bound in dimensions 3 and 4.
+orbit unions that achieve the bound in dimensions 3 and 4: each family
+fixes its radii, and ``solver`` gives its weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .moments import max_strength_oracle
 from .numeric import as_rational, binomial
-from .orbit import DesignConfig, Layer
+from .orbit import DesignConfig
+from .solver import FeasibilityResult, solve_t5, solve_t7
 from .strength import classify
 
 
@@ -58,45 +60,31 @@ def _parameters(r_squared, rho_squared, weight) -> tuple[Fraction, Fraction, Fra
     return r2, rho2, w
 
 
+def _scaled(result: FeasibilityResult, w: Fraction) -> DesignConfig:
+    """The solved configuration, whose first weight is 1, with every weight times w."""
+    cfg = result.solution
+    return DesignConfig(n=cfg.n, layers=tuple(replace(layer, weight=layer.weight * w) for layer in cfg.layers))
+
+
 def tight_5_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron plus cube in R^3; tight 14-point 5-design when the radii differ."""
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
-    return DesignConfig(
-        n=3,
-        layers=(
-            Layer(k=1, r_squared=r2, weight=w),
-            Layer(k=3, r_squared=rho2, weight=Fraction(9, 8) * r2**2 / rho2**2 * w),
-        ),
-    )
+    return _scaled(solve_t5(3, (1, 3), {1: r2, 3: rho2}), w)
 
 
 def tight_7_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron, cuboctahedron, and cube in R^3; tight 26-point 7-design
     when the two parameters differ (the three radii are then distinct)."""
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
-    t = 3 * r2 + 2 * rho2
-    return DesignConfig(
-        n=3,
-        layers=(
-            Layer(k=1, r_squared=r2, weight=w),
-            Layer(k=2, r_squared=t / 5 * r2 / rho2, weight=100 * rho2**3 / t**3 * w),
-            Layer(k=3, r_squared=t / 5, weight=Fraction(675, 8) * r2**3 / t**3 * w),
-        ),
-    )
+    t = (3 * r2 + 2 * rho2) / 5
+    return _scaled(solve_t7(3, (1, 2, 3), {1: r2, 2: t * r2 / rho2, 3: t}), w)
 
 
 def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Minimal vectors of the checkerboard lattice and of its dual in R^4;
     tight 48-point 7-design when the radii differ."""
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
-    return DesignConfig(
-        n=4,
-        layers=(
-            Layer(k=1, r_squared=r2, weight=w),
-            Layer(k=2, r_squared=rho2, weight=r2**3 / rho2**3 * w),
-            Layer(k=4, r_squared=r2, weight=w),
-        ),
-    )
+    return _scaled(solve_t7(4, (1, 2, 4), {1: r2, 2: rho2, 4: r2}), w)
 
 
 # -- tightness verdicts ----------------------------------------------

@@ -19,7 +19,7 @@ from hyperoct.moments import monomial_residual, sphere_monomial_average
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, mono_degree
-from hyperoct.strength import g_function, p_value
+from hyperoct.strength import g_function
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -234,7 +234,7 @@ def residual_rational_points(
 # total degree and Laplacian of a polynomial, the design residual of any
 # polynomial through the monomial oracle, the harmonic dimension counts, the
 # size of an orbit union, the tiling of {-1, 0, 1}^n by the orbits, and the q
-# form that pairs with ``strength.p_value`` in the 5-design identities.
+# form that pairs with ``p_value`` in the 5-design identities.
 
 
 def evaluate(poly: Polynomial, point: Sequence) -> Fraction:
@@ -357,12 +357,45 @@ def raw_positive_weights_exist(matrix) -> bool:
     return positive_nullvector(matrix) is not None
 
 
-# -- the G-form solution of the 7-design equations -------------------------
+# -- the P- and G-form solution of the 5- and 7-design equations ---------------
 #
-# The paper's hand-derived formulas, written in the G quadratic form and a
-# rescaled weight space u_k = w_k 2^(k+1) C(n-1, k-1) / k^3.  The solver reads
-# the same answers off the kernel of the classify equations instead; these are
-# the reference it is checked against.
+# The paper's hand-derived formulas, written in the p values, the G quadratic
+# form and a rescaled weight space u_k = w_k 2^(k+1) C(n-1, k-1) / k^3.  The
+# solver reads the same answers off the integer columns of the classify
+# equations instead; these are the reference it is checked against.
+
+
+def p_value(n: int, k: int) -> Fraction:
+    """k * (1 - 3(k-1)/(n-1)); sign tells which side of (n+2)/3 k lies on."""
+    return k * (1 - Fraction(3 * (k - 1), n - 1))
+
+
+def p_form_five_design_possible(n: int, ks: Sequence[int]) -> bool:
+    """One orbit at the balance point (p = 0), or p values of both signs."""
+    ps = [p_value(n, k) for k in ks]
+    if len(ks) == 1:
+        return ps[0] == 0
+    return any(p > 0 for p in ps) and any(p < 0 for p in ps)
+
+
+def g_form_sign_pattern(n: int, ks: Sequence[int]) -> bool:
+    """Whether G12 > 0, G23 > 0 and G13 < 0 for a sorted triple."""
+    k1, k2, k3 = ks
+    return g_function(n, k1, k2) > 0 and g_function(n, k2, k3) > 0 and g_function(n, k1, k3) < 0
+
+
+def g_form_seven_design_possible(n: int, ks: Sequence[int], p: int) -> bool:
+    """A pair needs G = 0 on one radius.  A triple needs the G sign pattern,
+    and its middle index at the balance point 3 k2 = n + 2 for p = 2 and off
+    it for p = 3."""
+    if len(ks) == 1:
+        return False
+    if len(ks) == 2:
+        return p == 1 and g_function(n, *ks) == 0
+    balanced = 3 * ks[1] == n + 2
+    if (p == 2 and not balanced) or (p == 3 and balanced):
+        return False
+    return g_form_sign_pattern(n, ks)
 
 
 def _u_to_weight(n: int, k: int, u: Fraction) -> Fraction:
@@ -397,6 +430,25 @@ def g_form_weights(n: int, ks: Sequence[int], r2: dict[int, Fraction]) -> list[F
         ]
     w0 = _u_to_weight(n, ks[0], us[0])
     return [_u_to_weight(n, k, u) / w0 for k, u in zip(ks, us)]
+
+
+# -- the tight families with their printed weights ------------------------
+
+
+def printed_tight_family(family: str, r_squared, rho_squared, weight) -> DesignConfig:
+    """The 5-3d, 7-3d or 7-4d family member with the weights written out by hand;
+    the constructors in ``tight`` take them from the solver instead."""
+    r2, rho2, w = Fraction(r_squared), Fraction(rho_squared), Fraction(weight)
+    if family == "5-3d":
+        return make_config(3, [(1, r2, w), (3, rho2, Fraction(9, 8) * r2**2 / rho2**2 * w)])
+    if family == "7-3d":
+        t = 3 * r2 + 2 * rho2
+        return make_config(3, [
+            (1, r2, w),
+            (2, t / 5 * r2 / rho2, 100 * rho2**3 / t**3 * w),
+            (3, t / 5, Fraction(675, 8) * r2**3 / t**3 * w),
+        ])
+    return make_config(4, [(1, r2, w), (2, rho2, r2**3 / rho2**3 * w), (4, r2, w)])
 
 
 # -- malformed configuration files ---------------------------------------

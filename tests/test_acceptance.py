@@ -35,6 +35,7 @@ from helpers import (
     harm_dimension,
     laplacian,
     orbit_union_size,
+    p_value,
     positive_nullvector,
     q_value,
     random_configs,
@@ -62,7 +63,7 @@ from hyperoct.solver import (
     solve_t7,
     tau_table,
 )
-from hyperoct.strength import classify, g_function, layer_sum_f82, p_value
+from hyperoct.strength import classify, g_function, layer_sum_f82
 from hyperoct.tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d
 
 

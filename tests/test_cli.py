@@ -106,6 +106,25 @@ class TestVerifyAndClassify:
         assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ("[" * 100_000, ["classify", "--config", "{path}"]),
+        (json.dumps({"n": 10**20, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "7"]),
+        (None, ["tau", "--n", str(10**20)]),
+    ],
+    ids=["config-nested-100000-deep", "verify-n-1e20", "tau-n-1e20"],
+)
+def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
+    # json.load's RecursionError, an n too large for [0] * n, and an n too large to scan
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestSolve:
     def test_feasible(self, capsys):
         code, data = run_json(

@@ -19,7 +19,7 @@ EXPORTS = [
     "double_factorial", "embed", "first_failure", "fisher_bound", "five_design_possible",
     "format_rational", "full_basis", "fully_even_subset", "g_function", "gegenbauer", "is_tight",
     "layer_sum_f42", "layer_sum_f63", "layer_sum_f82", "layer_sum_f84", "make_config",
-    "max_strength_oracle", "monomial_residual", "orbit_size", "orbit_sum", "p_value", "property_g",
+    "max_strength_oracle", "monomial_residual", "orbit_size", "orbit_sum", "property_g",
     "seven_design_possible", "solve_radius_Q", "solve_t5", "solve_t7", "sphere_monomial_average",
     "tau", "tau_table", "tight_5_3d", "tight_7_3d", "tight_7_4d", "tightness_certificate",
     "verify_strength",

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from helpers import (
     PROPERTY_G_LE_100,
     g_form_q_coefficients,
+    g_form_seven_design_possible,
+    g_form_sign_pattern,
     g_form_weights,
+    p_form_five_design_possible,
     positive_nullvector,
     raw_positive_weights_exist,
     raw_t5_matrix,
@@ -16,7 +20,7 @@ from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
-    _sign_pattern,
+    _columns,
     _triple_kernel,
     five_design_possible,
     seven_design_possible,
@@ -234,18 +238,26 @@ class TestFeasibilityAgainstRawSystems:
 
 
 class TestKernelAgainstGForm:
-    """The cross-product kernel of the classify equations against the paper's G formulas."""
+    """The integer columns of the classify equations against the paper's P and G formulas."""
 
     GRID = (Fraction(1), Fraction(2), Fraction(3, 4))
+
+    def test_feasibility_matches_p_and_g_forms(self):
+        for n in range(3, 21):
+            for j in (1, 2, 3):
+                for ks in itertools.combinations(range(1, n + 1), j):
+                    assert five_design_possible(n, ks) == p_form_five_design_possible(n, ks), (n, ks)
+                    for p in range(1, j + 1):
+                        assert seven_design_possible(n, ks, p) == g_form_seven_design_possible(n, ks, p), (n, ks, p)
 
     def test_kernel_sign_and_radius_identity_on_every_triple(self):
         for n in range(3, 41):
             for ks in itertools.combinations(range(1, n + 1), 3):
-                k1, k2, k3 = ks
-                c, coeffs = _triple_kernel(n, ks)
-                pattern = g_function(n, k1, k2) > 0 and g_function(n, k2, k3) > 0 and g_function(n, k1, k3) < 0
+                a, b = _columns(n, ks)
+                c = _triple_kernel(a, b)
+                coeffs = [ck * ak for ck, ak in zip(c, a)]
                 one_sign = all(x > 0 for x in c) or all(x < 0 for x in c)
-                assert one_sign == pattern == _sign_pattern(n, ks), (n, ks)
+                assert one_sign == g_form_sign_pattern(n, ks), (n, ks)
                 # a common nonzero multiple: the same zeros, and every 2x2 minor vanishes
                 ref = g_form_q_coefficients(n, ks)
                 assert any(ref) and [x == 0 for x in coeffs] == [x == 0 for x in ref], (n, ks)
@@ -262,7 +274,7 @@ class TestKernelAgainstGForm:
         three_radii = 0
         for n in range(3, 21):
             for ks in itertools.combinations(range(1, n + 1), 3):
-                if not _sign_pattern(n, ks):
+                if not g_form_sign_pattern(n, ks):
                     continue
                 k1, k2, k3 = ks
                 self.check(n, ks, {k: Fraction(2) for k in ks}, "t7:triple-common-radius")
@@ -325,6 +337,12 @@ class TestTau:
             tau(4, 2, 1)
         with pytest.raises(ValueError):
             tau(3, 1, 4)
+        # refused before any work: the scan builds one column entry per orbit index 1..n
+        for n in (0, sys.maxsize + 1):
+            with pytest.raises(ValueError, match="need n"):
+                tau(n, 1, 1)
+            with pytest.raises(ValueError, match="need n"):
+                tau_table(n)
 
     def test_seven_design_possible_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum, q_value
+from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
@@ -19,7 +18,6 @@ from hyperoct.strength import (
     layer_sum_f82,
     layer_sum_f84,
     orbit_sum,
-    p_value,
     property_g,
 )
 
@@ -180,36 +178,6 @@ class TestOrbitSumRule:
             orbit_sum(criterion_f42(), 3, 0)
         with pytest.raises(ValueError):
             orbit_sum(criterion_f42(), 3, 4)
-
-
-class TestLemmaIdentities:
-    def test_cross_product_identity(self):
-        for n in range(3, 16):
-            factor = Fraction(3 * (n + 8), (n - 1) ** 2 * (n - 2))
-            for k1 in range(1, n + 1):
-                for k2 in range(k1 + 1, n + 1):
-                    lhs = p_value(n, k1) * q_value(n, k2) - p_value(n, k2) * q_value(n, k1)
-                    rhs = factor * (k1 - k2) * g_function(n, k1, k2)
-                    assert lhs == rhs, (n, k1, k2)
-
-    def test_cyclic_identity(self):
-        for n in range(3, 16):
-            for ks in itertools.combinations(range(1, n + 1), 3):
-                total = 0
-                for i in range(3):
-                    k_next, k_prev = ks[(i + 1) % 3], ks[(i + 2) % 3]
-                    total += ks[i] * (n + 2 - 3 * ks[i]) * (k_next - k_prev) * g_function(n, k_next, k_prev)
-                assert total == 0, (n, ks)
-
-    def test_sign_implications(self):
-        for n in range(4, 16):
-            threshold = Fraction(n + 2, 3)
-            for k1, k2, k3, k4 in itertools.combinations(range(1, n + 1), 4):
-                if g_function(n, k2, k3) <= 0:
-                    assert k2 < threshold < k3, (n, k1, k2, k3, k4)
-                    assert p_value(n, k2) > 0 > p_value(n, k3)
-                    assert g_function(n, k1, k2) > 0
-                    assert g_function(n, k3, k4) > 0
 
 
 class TestClassify:

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from helpers import PAPER_TABLE_N4_ERRATA_WITNESSES, orbit_union_size
+from helpers import PAPER_TABLE_N4_ERRATA_WITNESSES, orbit_union_size, printed_tight_family
 from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.orbit import make_config
 from hyperoct.strength import classify
@@ -157,6 +158,14 @@ def test_is_tight_agrees_with_certificate(cfg):
     assert is_tight(cfg) is certificate["tight"]
     strength = certificate["strength_report"]["strength"]
     assert certificate["tight"] == (cfg.size == fisher_bound(cfg.n, cfg.p, strength).value)
+
+
+@pytest.mark.parametrize("name, family", [("5-3d", tight_5_3d), ("7-3d", tight_7_3d), ("7-4d", tight_7_4d)])
+def test_constructors_match_the_printed_weights(name, family):
+    # the constructors solve for their weights; the printed formulas are the reference
+    values = (Fraction(1), Fraction(2), Fraction(3, 4), Fraction(8, 3), Fraction(6))
+    for r2, rho2, w in itertools.product(values, values, (Fraction(1), Fraction(2, 7))):
+        assert family(r2, rho2, w) == printed_tight_family(name, r2, rho2, w), (r2, rho2, w)
 
 
 @pytest.mark.parametrize("family", [tight_5_3d, tight_7_3d, tight_7_4d])
