@@ -45,6 +45,10 @@ def _parse_r2_list(text: str) -> dict[int, Fraction]:
             raise argparse.ArgumentTypeError(
                 f"--r2 entry {pos} ({item!r}): bad orbit index {key!r}"
             )
+        if k in result:
+            raise argparse.ArgumentTypeError(
+                f"--r2 entry {pos} ({item!r}): orbit index {k} given twice"
+            )
         try:
             result[k] = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -9,7 +9,10 @@ harmonic subspace.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -59,14 +62,45 @@ def _real_imag_powers(m: int, mu: int, n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def _descending_chains(s: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All tuples (m1, ..., m_length) with s >= m1 >= ... >= m_length >= 0."""
-    if length == 0:
-        yield ()
+# a polynomial as (d, {dense exponent tuple: integer numerator}); each coefficient is numerator/d
+_IntegerForm = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _integer_form(poly: Polynomial) -> _IntegerForm:
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        dense = [0] * poly.nvars
+        for v, e in mono:
+            dense[v - 1] = e
+        terms[tuple(dense)] = coeff.numerator * (den // coeff.denominator)
+    return den, terms
+
+
+def _integer_product(a: _IntegerForm, b: _IntegerForm) -> _IntegerForm:
+    (den_a, terms_a), (den_b, terms_b) = a, b
+    acc: dict[tuple[int, ...], int] = {}
+    for exps_a, c_a in terms_a.items():
+        for exps_b, c_b in terms_b.items():
+            exps = tuple(map(operator.add, exps_a, exps_b))
+            acc[exps] = acc.get(exps, 0) + c_a * c_b
+    return den_a * den_b, {exps: c for exps, c in acc.items() if c}
+
+
+def _chain_products(
+    ms: tuple[int, ...], prefix: _IntegerForm, last: int, block
+) -> Iterator[tuple[tuple[int, ...], _IntegerForm]]:
+    """Each chain (*ms, ..., m_last) with ms[-1] >= ... >= m_last >= 0, in decreasing
+    lex order, with prefix times its blocks block(k, m_k, m_{k+1}) for k >= len(ms) - 1.
+
+    Only the products along the current path are alive at any time.
+    """
+    k = len(ms) - 1
+    if k == last:
+        yield ms, prefix
         return
-    for first in range(s, -1, -1):
-        for rest in _descending_chains(first, length - 1):
-            yield (first, *rest)
+    for m_next in range(ms[-1], -1, -1):
+        yield from _chain_products((*ms, m_next), _integer_product(prefix, block(k, ms[-1], m_next)), last, block)
 
 
 def full_basis(n: int, s: int) -> list[BasisElement]:
@@ -75,7 +109,14 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
     Each element is indexed by s = m0 >= m1 >= ... >= m_{n-2} >= 0 and
     mu in {1, 2} with mu <= m_{n-2} + 1; it is the product of the radial
     blocks for consecutive (m_k, m_{k+1}) pairs and the real or imaginary
-    part of (x_{n-1} + i x_n)^(m_{n-2}).
+    part of (x_{n-1} + i x_n)^(m_{n-2}).  Elements come in decreasing lex
+    order of (m1, ..., m_{n-2}), then by mu.
+
+    A depth-first walk over the chains builds each distinct block once and
+    carries the product of the blocks G_0(s, m1) ... G_{j-1}(m_{j-1}, m_j)
+    chosen so far down to every chain that shares them.  Products are taken
+    in an integer form, one common denominator over integer coefficients,
+    and each finished element becomes a Polynomial once.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -83,14 +124,16 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
         raise ValueError("need s >= 1")
     if n > MAX_N or s > MAX_S:
         raise ValueError(f"full basis capped at n <= {MAX_N}, s <= {MAX_S}")
+    block = functools.cache(lambda k, m, m_next: _integer_form(building_block_g(k, m, m_next, n)))
+    tail_part = functools.cache(lambda tail, mu: _integer_form(_real_imag_powers(tail, mu, n)))
+    # one tuple per monomial, shared by every element that has it
+    monomial = functools.cache(lambda exps: tuple((v, e) for v, e in enumerate(exps, start=1) if e))
     elements = []
-    for chain in _descending_chains(s, n - 2):
-        ms = (s, *chain)
+    for ms, prefix in _chain_products((s,), (1, {(0,) * n: 1}), n - 2, block):
         tail = ms[-1]
         for mu in range(1, min(2, tail + 1) + 1):
-            poly = _real_imag_powers(tail, mu, n)
-            for k in range(n - 2):
-                poly = poly * building_block_g(k, ms[k], ms[k + 1], n)
+            den, terms = _integer_product(prefix, tail_part(tail, mu))
+            poly = Polynomial(n, {monomial(exps): Fraction(c, den) for exps, c in terms.items()})
             elements.append(BasisElement(index=(*ms, mu), poly=poly))
     return elements
 

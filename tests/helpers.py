@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from hyperoct.harmonic import embed
+from hyperoct.harmonic import BasisElement, _real_imag_powers, embed
 from hyperoct.moments import monomial_residual, sphere_monomial_average
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
-from hyperoct.poly import Polynomial, mono_degree
+from hyperoct.poly import Polynomial, building_block_g, mono_degree
 from hyperoct.strength import g_function
 
 # The published list of integers up to 100 whose G form has a zero.
@@ -281,6 +281,30 @@ def design_residual(cfg: DesignConfig, f: Polynomial) -> Fraction:
             exponents[v - 1] = e
         total += coeff * monomial_residual(cfg, tuple(exponents))
     return total
+
+
+def _descending_chains(s: int, length: int):
+    """All tuples (m1, ..., m_length) with s >= m1 >= ... >= m_length >= 0."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(s, -1, -1):
+        for rest in _descending_chains(first, length - 1):
+            yield (first, *rest)
+
+
+def reference_full_basis(n: int, s: int) -> list[BasisElement]:
+    """``full_basis`` element by element: each product rebuilt from its blocks in Fractions."""
+    elements = []
+    for chain in _descending_chains(s, n - 2):
+        ms = (s, *chain)
+        tail = ms[-1]
+        for mu in range(1, min(2, tail + 1) + 1):
+            poly = _real_imag_powers(tail, mu, n)
+            for k in range(n - 2):
+                poly = poly * building_block_g(k, ms[k], ms[k + 1], n)
+            elements.append(BasisElement(index=(*ms, mu), poly=poly))
+    return elements
 
 
 def harm_dimension(n: int, s: int) -> int:

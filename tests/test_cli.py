@@ -144,6 +144,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "entry 2" in err and "x/y" in err
 
+    def test_repeated_orbit_index(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--n", "5", "--J", "1,2", "--t", "5", "--r2", "1=1,2=1,2=3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "entry 3" in err and "'2=3'" in err
+
     def test_malformed_index_set(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", "--n", "3", "--J", "1;3", "--t", "5"])

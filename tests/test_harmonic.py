@@ -1,7 +1,19 @@
-import pytest
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
-from helpers import degree, fully_even_dimension, harm_dimension, laplacian, matrix_rank, rank_of_polynomials
+import pytest
+
+from helpers import (
+    degree,
+    fully_even_dimension,
+    harm_dimension,
+    laplacian,
+    matrix_rank,
+    rank_of_polynomials,
+    reference_full_basis,
+)
+from hyperoct import harmonic
 from hyperoct.harmonic import (
     criterion_basis,
     criterion_f42,
@@ -23,6 +35,19 @@ def is_fully_even(poly):
     return all(e % 2 == 0 for mono in poly.terms for _, e in mono)
 
 
+# sha256 of "[index] canonical_str\n" per element, as the element-by-element product loop
+# (helpers.reference_full_basis) renders them; that loop takes seconds on these two
+PINNED_BASIS_DIGESTS = {
+    (5, 8): "e3bf596f890364187461ce0edb0f3d6730c8bb723040c2f8fa950534e58e10d3",
+    (6, 8): "db34f3fa8a1762dedf3c1e60490e191bb99a32b3125380495b26074b49ac57f7",
+}
+
+
+@pytest.fixture(scope="module")
+def largest_bases():
+    return {key: full_basis(*key) for key in PINNED_BASIS_DIGESTS}
+
+
 class TestFullBasis:
     def test_counts_match_dimension(self):
         assert len(full_basis(3, 2)) == 5
@@ -35,9 +60,34 @@ class TestFullBasis:
                 lhs = 2 * binomial(n + s - 3, n - 2) + binomial(n + s - 3, n - 3)
                 assert lhs == harm_dimension(n, s)
 
-    def test_elements_are_harmonic_homogeneous(self):
-        for n, s in [(3, 4), (4, 3), (4, 6), (5, 4)]:
-            for el in full_basis(n, s):
+    def test_matches_reference_product_loop(self):
+        for n in range(3, 7):
+            for s in range(1, 9):
+                if (n, s) not in PINNED_BASIS_DIGESTS:
+                    assert full_basis(n, s) == reference_full_basis(n, s), (n, s)
+
+    def test_largest_bases_match_pinned_renderings(self, largest_bases):
+        for key, basis in largest_bases.items():
+            text = "".join(f"{list(el.index)} {el.poly.canonical_str()}\n" for el in basis)
+            assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BASIS_DIGESTS[key], key
+
+    def test_builds_each_block_once(self, monkeypatch):
+        # 825 elements of 4 blocks each, from 144 distinct (k, m_k, m_(k+1))
+        calls = Counter()
+        build = harmonic.building_block_g
+
+        def counted(k, m_k, m_k1, n):
+            calls[k, m_k, m_k1] += 1
+            return build(k, m_k, m_k1, n)
+
+        monkeypatch.setattr(harmonic, "building_block_g", counted)
+        full_basis(6, 8)
+        assert len(calls) == 144 and sum(calls.values()) == 144
+
+    def test_elements_are_harmonic_homogeneous(self, largest_bases):
+        bases = {(n, s): full_basis(n, s) for n, s in [(3, 4), (4, 3), (4, 6), (5, 4)]}
+        for (n, s), basis in {**bases, **largest_bases}.items():
+            for el in basis:
                 assert not laplacian(el.poly).terms, (n, s, el.index)
                 assert {mono_degree(mono) for mono in el.poly.terms} == {s}
 
