@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .numeric import binomial
-from .poly import Polynomial, building_block_g
+from .poly import Polynomial, _block_form, _integer_product, _IntegerForm, _sparse_monomial, _to_polynomial
 
 _ONE = Fraction(1)
 
@@ -42,49 +40,14 @@ class BasisElement:
         return self.index[-1]
 
 
-def _real_imag_powers(m: int, mu: int, n: int) -> Polynomial:
-    """Re or Im part of (x_{n-1} + i x_n)^m as a polynomial on n variables."""
-    terms = {}
-    for j in range(m + 1):
-        if mu == 1 and j % 2 == 0:
-            sign = (-1) ** (j // 2)
-        elif mu == 2 and j % 2 == 1:
-            sign = (-1) ** ((j - 1) // 2)
-        else:
-            continue
-        exps = {}
-        if m - j:
-            exps[n - 1] = m - j
-        if j:
-            exps[n] = j
-        mono = tuple(sorted(exps.items()))
-        terms[mono] = Fraction(sign * binomial(m, j))
-    return Polynomial(n, terms)
+def _real_imag_powers(m: int, mu: int, n: int) -> _IntegerForm:
+    """Re (mu = 1) or Im (mu = 2) part of (x_{n-1} + i x_n)^m on n variables, in integer form.
 
-
-# a polynomial as (d, {dense exponent tuple: integer numerator}); each coefficient is numerator/d
-_IntegerForm = tuple[int, dict[tuple[int, ...], int]]
-
-
-def _integer_form(poly: Polynomial) -> _IntegerForm:
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    terms = {}
-    for mono, coeff in poly.terms.items():
-        dense = [0] * poly.nvars
-        for v, e in mono:
-            dense[v - 1] = e
-        terms[tuple(dense)] = coeff.numerator * (den // coeff.denominator)
-    return den, terms
-
-
-def _integer_product(a: _IntegerForm, b: _IntegerForm) -> _IntegerForm:
-    (den_a, terms_a), (den_b, terms_b) = a, b
-    acc: dict[tuple[int, ...], int] = {}
-    for exps_a, c_a in terms_a.items():
-        for exps_b, c_b in terms_b.items():
-            exps = tuple(map(operator.add, exps_a, exps_b))
-            acc[exps] = acc.get(exps, 0) + c_a * c_b
-    return den_a * den_b, {exps: c for exps, c in acc.items() if c}
+    Its term x_{n-1}^(m-j) x_n^j is i^j C(m, j): real for even j, imaginary for odd j.
+    """
+    return 1, {
+        (0,) * (n - 2) + (m - j, j): (-1) ** (j // 2) * binomial(m, j) for j in range(mu - 1, m + 1, 2)
+    }
 
 
 def _chain_products(
@@ -114,9 +77,9 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
 
     A depth-first walk over the chains builds each distinct block once and
     carries the product of the blocks G_0(s, m1) ... G_{j-1}(m_{j-1}, m_j)
-    chosen so far down to every chain that shares them.  Products are taken
-    in an integer form, one common denominator over integer coefficients,
-    and each finished element becomes a Polynomial once.
+    chosen so far down to every chain that shares them.  Blocks and products
+    are taken in the integer form of ``poly``, one common denominator over
+    integer coefficients, and each finished element becomes a Polynomial once.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -124,16 +87,15 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
         raise ValueError("need s >= 1")
     if n > MAX_N or s > MAX_S:
         raise ValueError(f"full basis capped at n <= {MAX_N}, s <= {MAX_S}")
-    block = functools.cache(lambda k, m, m_next: _integer_form(building_block_g(k, m, m_next, n)))
-    tail_part = functools.cache(lambda tail, mu: _integer_form(_real_imag_powers(tail, mu, n)))
+    block = functools.cache(lambda k, m, m_next: _block_form(k, m, m_next, n))
+    tail_part = functools.cache(lambda tail, mu: _real_imag_powers(tail, mu, n))
     # one tuple per monomial, shared by every element that has it
-    monomial = functools.cache(lambda exps: tuple((v, e) for v, e in enumerate(exps, start=1) if e))
+    monomial = functools.cache(_sparse_monomial)
     elements = []
     for ms, prefix in _chain_products((s,), (1, {(0,) * n: 1}), n - 2, block):
         tail = ms[-1]
         for mu in range(1, min(2, tail + 1) + 1):
-            den, terms = _integer_product(prefix, tail_part(tail, mu))
-            poly = Polynomial(n, {monomial(exps): Fraction(c, den) for exps, c in terms.items()})
+            poly = _to_polynomial(_integer_product(prefix, tail_part(tail, mu)), n, monomial)
             elements.append(BasisElement(index=(*ms, mu), poly=poly))
     return elements
 
@@ -167,12 +129,12 @@ def _poly(nvars: int, entries: dict[tuple[tuple[int, int], ...], int]) -> Polyno
 
 def criterion_f42() -> Polynomial:
     """Re((x1 + i x2)^4)."""
-    return _real_imag_powers(4, 1, 2)
+    return _to_polynomial(_real_imag_powers(4, 1, 2), 2)
 
 
 def criterion_f62() -> Polynomial:
     """Re((x1 + i x2)^6)."""
-    return _real_imag_powers(6, 1, 2)
+    return _to_polynomial(_real_imag_powers(6, 1, 2), 2)
 
 
 def criterion_f63() -> Polynomial:
@@ -188,7 +150,7 @@ def criterion_f63() -> Polynomial:
 
 def criterion_f82() -> Polynomial:
     """Re((x1 + i x2)^8)."""
-    return _real_imag_powers(8, 1, 2)
+    return _to_polynomial(_real_imag_powers(8, 1, 2), 2)
 
 
 def criterion_f831() -> Polynomial:
@@ -255,6 +217,8 @@ def criterion_basis(n: int, s: int) -> CriterionBasis:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if n > MAX_N:
+        raise ValueError(f"criterion basis capped at n <= {MAX_N}")
     if s == 2:
         elements = tuple(
             Polynomial(n, {((i, 2),): _ONE, ((n, 2),): -_ONE}) for i in range(1, n)

@@ -2,13 +2,15 @@
 
 Variables are 1-indexed (x1..xn).  A monomial is stored as a tuple of
 (variable, exponent) pairs sorted by variable, zero exponents omitted.
-Also provides the one-variable Gegenbauer (ultraspherical) family and the
-homogeneous building blocks used to assemble harmonic bases.
+Also provides the integer form in which harmonic bases are multiplied,
+the one-variable Gegenbauer (ultraspherical) family and the homogeneous
+building blocks used to assemble harmonic bases.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,10 +63,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Polynomial":
@@ -184,11 +182,30 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.canonical_str()})"
 
 
-def squared_radius_polynomial(first_var: int, nvars: int) -> Polynomial:
-    """x_first^2 + ... + x_nvars^2."""
-    return Polynomial(
-        nvars, {((v, 2),): _ONE for v in range(first_var, nvars + 1)}
-    )
+# -- integer form -----------------------------------------------------
+
+# a polynomial as (d, {dense exponent tuple: integer numerator}); each coefficient is numerator/d
+_IntegerForm = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _integer_product(a: _IntegerForm, b: _IntegerForm) -> _IntegerForm:
+    (den_a, terms_a), (den_b, terms_b) = a, b
+    acc: dict[tuple[int, ...], int] = {}
+    for exps_a, c_a in terms_a.items():
+        for exps_b, c_b in terms_b.items():
+            exps = tuple(map(operator.add, exps_a, exps_b))
+            acc[exps] = acc.get(exps, 0) + c_a * c_b
+    return den_a * den_b, {exps: c for exps, c in acc.items() if c}
+
+
+def _sparse_monomial(exps: tuple[int, ...]) -> Monomial:
+    return tuple((v, e) for v, e in enumerate(exps, start=1) if e)
+
+
+def _to_polynomial(form: _IntegerForm, nvars: int, monomial=_sparse_monomial) -> Polynomial:
+    """The Polynomial of an integer form; monomial turns a dense exponent tuple into a Monomial."""
+    den, terms = form
+    return Polynomial(nvars, {monomial(exps): Fraction(c, den) for exps, c in terms.items()})
 
 
 # -- Gegenbauer (ultraspherical) polynomials -------------------------
@@ -231,6 +248,29 @@ def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
     return GegenbauerPoly(degree=s, alpha=alpha, coefficients=tuple(coeffs))
 
 
+def _block_form(k: int, m_k: int, m_k1: int, n: int) -> _IntegerForm:
+    """building_block_g(k, m_k, m_k1, n) in integer form, over the lcm of its Gegenbauer denominators.
+
+    With d = m_k - m_k1, x = x_{k+1} and Gegenbauer coefficients c_i, the block is
+    c_d x^d + r^2 (c_(d-2) x^(d-2) + r^2 (...)), each factor r^2 one integer product.
+    """
+    if not 0 <= k <= n - 3:
+        raise ValueError(f"index k={k} out of range 0..{n - 3}")
+    if not 0 <= m_k1 <= m_k:
+        raise ValueError("need 0 <= m_(k+1) <= m_k")
+    d = m_k - m_k1
+    coeffs = gegenbauer(d, Fraction(m_k1) + Fraction(n - k - 2, 2)).coefficients
+    den = math.lcm(*(c.denominator for c in coeffs))
+    # the block lives on variables x_{k+1}..x_n, dense positions k..n-1
+    r2 = (1, {tuple(2 * (v == u) for v in range(n)): 1 for u in range(k, n)})
+    terms: dict[tuple[int, ...], int] = {}
+    for i in range(d % 2, d + 1, 2):
+        terms = _integer_product((1, terms), r2)[1]
+        x_i = tuple(i * (v == k) for v in range(n))
+        terms[x_i] = terms.get(x_i, 0) + coeffs[i].numerator * (den // coeffs[i].denominator)
+    return den, terms
+
+
 def building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
     """Homogeneous block r^(m_k-m_k1) * P(x_{k+1}/r) on variables x_{k+1}..x_n.
 
@@ -239,20 +279,4 @@ def building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
     Gegenbauer coefficients guarantees only even powers of r^2 occur, so
     the result is a genuine polynomial, homogeneous of degree m_k - m_k1.
     """
-    if not 0 <= k <= n - 3:
-        raise ValueError(f"index k={k} out of range 0..{n - 3}")
-    if not 0 <= m_k1 <= m_k:
-        raise ValueError("need 0 <= m_(k+1) <= m_k")
-    d = m_k - m_k1
-    alpha = Fraction(m_k1) + Fraction(n - k - 2, 2)
-    geg = gegenbauer(d, alpha)
-    # the block lives on variables x_{k+1}..x_n (1-indexed)
-    r2 = squared_radius_polynomial(k + 1, n)
-    result = Polynomial.zero(n)
-    for i, c in enumerate(geg.coefficients):
-        if c == 0:
-            continue
-        # x_{k+1}^i * (r^2)^((d-i)/2); parity makes the exponent integral
-        part = Polynomial(n, {((k + 1, i),): c}) if i else Polynomial.constant(c, n)
-        result = result + part * r2 ** ((d - i) // 2)
-    return result
+    return _to_polynomial(_block_form(k, m_k, m_k1, n), n)

@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from hyperoct.harmonic import BasisElement, _real_imag_powers, embed
+from hyperoct.harmonic import BasisElement, embed
 from hyperoct.moments import monomial_residual, sphere_monomial_average
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
-from hyperoct.poly import Polynomial, building_block_g, mono_degree
+from hyperoct.poly import Polynomial, gegenbauer, mono_degree
 from hyperoct.strength import g_function
 
 # The published list of integers up to 100 whose G form has a zero.
@@ -293,6 +293,35 @@ def _descending_chains(s: int, length: int):
             yield (first, *rest)
 
 
+def squared_radius_polynomial(first_var: int, nvars: int) -> Polynomial:
+    """x_first^2 + ... + x_nvars^2."""
+    return Polynomial(nvars, {((v, 2),): _ONE for v in range(first_var, nvars + 1)})
+
+
+def reference_building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
+    """``building_block_g`` in Fraction ``Polynomial`` arithmetic: the sum over the Gegenbauer
+    coefficients c_i of c_i x_{k+1}^i (r^2)^((d-i)/2), with r^2 = x_{k+1}^2 + ... + x_n^2."""
+    d = m_k - m_k1
+    geg = gegenbauer(d, Fraction(m_k1) + Fraction(n - k - 2, 2))
+    r2 = squared_radius_polynomial(k + 1, n)
+    result = Polynomial(n)
+    for i, c in enumerate(geg.coefficients):
+        if c == 0:
+            continue
+        part = Polynomial(n, {((k + 1, i),): c}) if i else Polynomial.constant(c, n)
+        result = result + part * r2 ** ((d - i) // 2)
+    return result
+
+
+def _reference_tail(m: int, mu: int, n: int) -> Polynomial:
+    """Re (mu = 1) or Im (mu = 2) part of (x_{n-1} + i x_n)^m, by m complex multiplications."""
+    a, b = (Polynomial(n, {((v, 1),): _ONE}) for v in (n - 1, n))
+    re, im = Polynomial.constant(1, n), Polynomial(n)
+    for _ in range(m):
+        re, im = re * a - im * b, re * b + im * a
+    return re if mu == 1 else im
+
+
 def reference_full_basis(n: int, s: int) -> list[BasisElement]:
     """``full_basis`` element by element: each product rebuilt from its blocks in Fractions."""
     elements = []
@@ -300,9 +329,9 @@ def reference_full_basis(n: int, s: int) -> list[BasisElement]:
         ms = (s, *chain)
         tail = ms[-1]
         for mu in range(1, min(2, tail + 1) + 1):
-            poly = _real_imag_powers(tail, mu, n)
+            poly = _reference_tail(tail, mu, n)
             for k in range(n - 2):
-                poly = poly * building_block_g(k, ms[k], ms[k + 1], n)
+                poly = poly * reference_building_block_g(k, ms[k], ms[k + 1], n)
             elements.append(BasisElement(index=(*ms, mu), poly=poly))
     return elements
 

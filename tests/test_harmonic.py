@@ -74,13 +74,13 @@ class TestFullBasis:
     def test_builds_each_block_once(self, monkeypatch):
         # 825 elements of 4 blocks each, from 144 distinct (k, m_k, m_(k+1))
         calls = Counter()
-        build = harmonic.building_block_g
+        build = harmonic._block_form
 
         def counted(k, m_k, m_k1, n):
             calls[k, m_k, m_k1] += 1
             return build(k, m_k, m_k1, n)
 
-        monkeypatch.setattr(harmonic, "building_block_g", counted)
+        monkeypatch.setattr(harmonic, "_block_form", counted)
         full_basis(6, 8)
         assert len(calls) == 144 and sum(calls.values()) == 144
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum
+from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum, squared_radius_polynomial
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config
-from hyperoct.poly import Polynomial, squared_radius_polynomial
+from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
 from hyperoct.strength import (
     classify,
