@@ -4,14 +4,14 @@ Given a dimension, a set of orbit indices, and squared radii, decides
 whether positive layer weights exist making the union a 5- or 7-design,
 and returns a normalized solution when they do.  Every answer is read off
 the defining equations of ``strength.classify`` themselves, through their
-integer orbit-sum columns (``_columns``): the signs of the columns and of
+integer orbit-sum columns (``_columns``, which ``tau`` reads with positive
+factors divided out): the signs of the columns and of
 their kernel decide feasibility, and the kernel gives the weights and the
 7-design radius identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .numeric import as_rational
 from .orbit import DesignConfig, Layer, orbit_index
-from .strength import layer_sum_f42, layer_sum_f63
+from .strength import _EQUATIONS, _reduced_sum, layer_sum_f42, layer_sum_f63, property_g
 
 _ONE = Fraction(1)
 
@@ -259,22 +259,62 @@ def _check_scan(n: int) -> None:
     if n < 3:
         raise ValueError("need n >= 3")
     if n > sys.maxsize:
-        raise ValueError(f"need n <= {sys.maxsize} to scan the index sets, got n={n}")
+        raise ValueError(f"need n <= {sys.maxsize} for the linear property-G scan, got n={n}")
+
+
+def _reduced_columns(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``_columns`` with the positive factor 2^k C(n-1, k-1) of each index and a positive
+    constant of each column divided out; a_k becomes 2k(n+2-3k).
+
+    Every feasibility rule is unchanged under a positive scale per index or per
+    column, and these entries are polynomials in n and k, small for any k.
+    """
+    f42, f63 = _EQUATIONS["f42"][0], _EQUATIONS["f63"][0]
+    return [k * _reduced_sum(f42, n, k) for k in ks], [_reduced_sum(f63, n, k) for k in ks]
+
+
+def _candidates(n: int) -> list[tuple[int, ...]]:
+    """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``)."""
+    m = min(max((n + 2) // 3, 2), n - 1)
+    sets = [(1, n), (1, 2, n), (1, m, n)]
+    if n % 3 == 1:
+        sets.append((m,))
+        if m > 2:
+            sets.append((1, m - 1, n))
+    pair = property_g(n)
+    if pair is not None:
+        sets.append(pair)
+    return sets
 
 
 def tau(n: int, p: int, j: int) -> int:
-    """Maximum strength over all unions of j orbits on p concentric spheres."""
-    _check_scan(n)
+    """Maximum strength over all unions of j orbits on p concentric spheres.
+
+    The feasibility rules are applied to the few index sets of ``_candidates``
+    instead of all C(n, j) of them; the tests prove for every n that these
+    sets decide each answer:
+
+    - a single orbit is never a 7-design, and is a 5-design iff a_k = 0, that is
+      3k = n + 2, which is a candidate when n = 1 (mod 3);
+    - a_1 > 0 > a_n, so (1, n) and (1, 2, n) are always 5-designs;
+    - a pair is a 7-design iff p = 1 and G = 0, as a1 b2 - a2 b1 is a positive
+      multiple of (k1 - k2) G, so the first property-G pair decides j = 2;
+    - a triple on two radii needs a zero middle a_k, so n = 1 (mod 3); with
+      m = floor((n+2)/3), (1, m, n) is a 7-design at p = 1 and, when n = 1
+      (mod 3), at p = 2, and (1, m', n) at p = 3, where m' = m - 1 when
+      n = 1 (mod 3) and m' = m otherwise, for every n >= 5.
+    """
     if not 1 <= p <= j <= 3:
         raise ValueError("need 1 <= p <= j <= 3")
-    return _tau(*_columns(n, range(1, n + 1)), p, j)
+    return tau_table(n)[(p, j)]
 
 
-def _tau(a: list[int], b: list[int], p: int, j: int) -> int:
-    """tau(p, j) from the columns a, b of the orbit indices 1..n, taken j at a time."""
-    if any(_seven_design_rule(x, y, p) for x, y in zip(itertools.combinations(a, j), itertools.combinations(b, j))):
+def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:
+    """tau(p, j) from the reduced columns of the candidate index sets, taking those of size j."""
+    sized = [(a, b) for a, b in columns if len(a) == j]
+    if any(_seven_design_rule(a, b, p) for a, b in sized):
         return 7
-    if any(_five_design_rule(x) for x in itertools.combinations(a, j)):
+    if any(_five_design_rule(a) for a, _ in sized):
         return 5
     return 3
 
@@ -282,5 +322,5 @@ def _tau(a: list[int], b: list[int], p: int, j: int) -> int:
 def tau_table(n: int) -> dict[tuple[int, int], int]:
     """All tau(p, j) values for 1 <= p <= j <= 3."""
     _check_scan(n)
-    a, b = _columns(n, range(1, n + 1))
-    return {(p, j): _tau(a, b, p, j) for j in range(1, 4) for p in range(1, j + 1)}
+    columns = [_reduced_columns(n, ks) for ks in _candidates(n)]
+    return {(p, j): _tau(columns, p, j) for j in range(1, 4) for p in range(1, j + 1)}

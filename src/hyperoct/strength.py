@@ -9,12 +9,13 @@ two-variable criterion sum is strictly positive on every orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84
 from .numeric import binomial, format_rational
-from .orbit import DesignConfig
+from .orbit import DesignConfig, orbit_index
 from .poly import Polynomial
 
 _ZERO = Fraction(0)
@@ -28,13 +29,25 @@ def g_function(n: int, k1: int, k2: int) -> int:
 
 
 def property_g(n: int) -> tuple[int, int] | None:
-    """A witness pair (k1, k2) with G = 0, or None if none exists."""
+    """The first witness pair (k1, k2), k1 <= k2, with G = 0, or None if none exists.
+
+    For fixed k1, G(n, k1, k2) = base + slope * k2 with slope = 15 k1 - 3n - 12
+    and base = (n+2-3 k1)(n+2) - 6(k1-1) + 2(n-1), so each k1 has at most one
+    zero, found by one exact division (every k2 when both vanish); both step
+    linearly with k1.  As 6(k1-1)(k2-1) + 2(n-1) >= 0, a zero needs
+    (n+2-3 k1)(n+2-3 k2) <= 0, so k1 <= (n+2)/3 and the scan stops there.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1):
-            if g_function(n, k1, k2) == 0:
-                return (k1, k2)
+    slope, base = 3 - 3 * n, (n - 1) * (n + 4)
+    for k1 in range(1, (n + 2) // 3 + 1):
+        if slope == 0:
+            if base == 0:
+                return (k1, k1)
+        elif base % slope == 0 and k1 <= -base // slope <= n:
+            return (k1, -base // slope)
+        slope += 15
+        base -= 3 * n + 12
     return None
 
 
@@ -62,9 +75,20 @@ def _support_sums(poly: Polynomial) -> dict[int, Fraction | int]:
 
 
 def _grouped_sum(sums: dict[int, Fraction | int], n: int, k: int):
-    if not 1 <= k <= n:
+    if not 1 <= orbit_index(k) <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return 2**k * sum(c * binomial(n - m, k - m) for m, c in sums.items())
+
+
+def _reduced_sum(sums: dict[int, int], n: int, k: int) -> int:
+    """``_grouped_sum`` divided by the positive 2^k C(n-1, k-1) / (n-1)_(M-1), M = max(sums); needs n >= M.
+
+    As C(n-m, k-m) = C(n-1, k-1) (k-1)_(m-1) / (n-1)_(m-1), with (x)_j the falling
+    factorial, this is sum c_m (k-1)_(m-1) (n-m)_(M-m): a polynomial in n and k
+    with no 2^k, so it stays small for any k.
+    """
+    top = max(sums)
+    return sum(c * math.perm(k - 1, m - 1) * math.perm(n - m, top - m) for m, c in sums.items())
 
 
 # The defining equations in canonical order: each criterion's support sums (integers,

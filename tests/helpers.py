@@ -19,6 +19,7 @@ from hyperoct.moments import monomial_residual, sphere_monomial_average
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
+from hyperoct.solver import _columns, _five_design_rule, _seven_design_rule
 from hyperoct.strength import g_function
 
 # The published list of integers up to 100 whose G form has a zero.
@@ -483,6 +484,79 @@ def g_form_weights(n: int, ks: Sequence[int], r2: dict[int, Fraction]) -> list[F
         ]
     w0 = _u_to_weight(n, ks[0], us[0])
     return [_u_to_weight(n, k, u) / w0 for k, u in zip(ks, us)]
+
+
+# -- the exhaustive searches that tau_table and property_g replace -------------
+
+
+def reference_tau_table(n: int) -> dict[tuple[int, int], int]:
+    """tau(p, j) from the feasibility rules on every j-subset of 1..n: C(n, 3) triples per p at j = 3."""
+    a, b = _columns(n, range(1, n + 1))
+    table = {}
+    for j in range(1, 4):
+        subsets = list(zip(itertools.combinations(a, j), itertools.combinations(b, j)))
+        for p in range(1, j + 1):
+            if any(_seven_design_rule(x, y, p) for x, y in subsets):
+                table[(p, j)] = 7
+            elif any(_five_design_rule(x) for x, _ in subsets):
+                table[(p, j)] = 5
+            else:
+                table[(p, j)] = 3
+    return table
+
+
+def reference_property_g(n: int) -> tuple[int, int] | None:
+    """The first pair k1 <= k2 with G = 0, trying every pair in order."""
+    for k1 in range(1, n + 1):
+        for k2 in range(k1, n + 1):
+            if g_function(n, k1, k2) == 0:
+                return (k1, k2)
+    return None
+
+
+# -- integer polynomials known only through their values ------------------------
+
+
+def polynomial_coefficients(f, degree: int, start: int) -> list[Fraction]:
+    """Coefficients, lowest first, of f, a polynomial of degree <= degree on the integers >= start.
+
+    Interpolated from f at start .. start + degree, which fixes such a polynomial,
+    and checked at two more points, which a wrong degree bound would fail.
+    """
+    xs = range(start, start + degree + 1)
+    reduced, _ = rref([[x**i for i in range(degree + 1)] + [f(x)] for x in xs], degree + 1)
+    coeffs = [row[-1] for row in reduced]
+    for x in range(start + degree + 1, start + degree + 3):
+        assert sum(c * x**i for i, c in enumerate(coeffs)) == f(x), (x, coeffs)
+    return coeffs
+
+
+def sign_from(f, degree: int, start: int) -> int:
+    """The strict sign (1 or -1) of f at every integer x >= start, or 0 if f vanishes or changes sign there.
+
+    f is a polynomial of degree <= degree on those integers.  Every root lies
+    below Cauchy's bound 1 + max |c_i / c_top|, so past it f has the sign of
+    c_top; each integer from start up to the bound is evaluated.
+    """
+    coeffs = polynomial_coefficients(f, degree, start)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return 0
+    top = coeffs[-1]
+    bound = 1 + max((abs(c / top) for c in coeffs[:-1]), default=0)
+    sign = 1 if top > 0 else -1
+    return sign if all(f(x) * sign > 0 for x in range(start, math.floor(bound) + 1)) else 0
+
+
+def vanishes_identically(f, degrees: Sequence[int], starts: Sequence[int]) -> bool:
+    """Whether f, a polynomial of degree <= degrees[i] in its i-th argument, is 0.
+
+    Such a polynomial that vanishes on a grid of degrees[i] + 1 values per
+    argument is zero, by induction on the number of arguments.
+    """
+    grid = [range(s, s + d + 1) for s, d in zip(starts, degrees)]
+    return all(f(*x) == 0 for x in itertools.product(*grid))
 
 
 # -- the tight families with their printed weights ------------------------

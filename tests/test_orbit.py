@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import MALFORMED_CONFIGS, orbit_union_size, partition_check
 from hyperoct.numeric import binomial
 from hyperoct.orbit import (
+    INDEX_CAP,
     ConfigError,
     DesignConfig,
     Layer,
@@ -16,6 +17,8 @@ from hyperoct.orbit import (
     orbit_size,
     orbit_tuples,
 )
+from hyperoct.solver import solve_t5
+from hyperoct.strength import layer_sum_f42
 
 
 class TestEnumeration:
@@ -118,6 +121,20 @@ class TestLayerValidation:
         # neither truncated nor coerced: 1.5 would otherwise build a config that classify cannot read
         with pytest.raises(ValueError, match="orbit index must be an int"):
             make_config(3, [(k, 1, 1)])
+
+    def test_orbit_index_above_the_cap_is_refused(self):
+        # refused before 2^k is formed: at k = 10**20 that number alone would not fit in memory
+        assert orbit_size(INDEX_CAP, INDEX_CAP) == 2**INDEX_CAP
+        assert layer_sum_f42(INDEX_CAP, INDEX_CAP) < 0
+        for k in (INDEX_CAP + 1, 10**20):
+            with pytest.raises(ValueError, match="above the cap"):
+                make_config(10**20, [(k, 1, 1)])
+            with pytest.raises(ValueError, match="above the cap"):
+                orbit_size(10**20, k)
+            with pytest.raises(ValueError, match="above the cap"):
+                layer_sum_f42(10**20, k)
+            with pytest.raises(ValueError, match="above the cap"):
+                solve_t5(10**20, [k])
 
     def test_layers_sorted_and_properties(self):
         cfg = make_config(4, [(4, 1, 2), (1, 1, 1), (2, 3, 1)])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -15,12 +16,19 @@ from helpers import (
     raw_positive_weights_exist,
     raw_t5_matrix,
     raw_t7_matrix,
+    reference_tau_table,
+    sign_from,
+    vanishes_identically,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
+    _candidates,
     _columns,
+    _five_design_rule,
+    _reduced_columns,
+    _seven_design_rule,
     _triple_kernel,
     five_design_possible,
     seven_design_possible,
@@ -30,7 +38,8 @@ from hyperoct.solver import (
     tau,
     tau_table,
 )
-from hyperoct.strength import classify, g_function
+from hyperoct.numeric import binomial
+from hyperoct.strength import classify, g_function, property_g
 
 
 def layer_weights(cfg):
@@ -326,6 +335,19 @@ class TestTau:
             }
             assert tau_table(n) == expected, n
 
+    def test_matches_reference_walk(self):
+        # n = 3 and 4 have no witness triple at p = 3 (the proofs below start at n = 5);
+        # the walk settles them, and agrees everywhere else
+        for n in range(3, 81):
+            table = tau_table(n)
+            assert table == reference_tau_table(n), n
+            assert all(tau(n, p, j) == value for (p, j), value in table.items()), n
+
+    def test_ten_million(self):
+        n = 10**7
+        assert n % 3 == 1 and property_g(n) is not None
+        assert tau_table(n) == {(1, 1): 5, (1, 2): 7, (2, 2): 5, (1, 3): 7, (2, 3): 7, (3, 3): 7}
+
     def test_spec_examples(self):
         assert tau(4, 3, 3) == 5
         assert tau(7, 1, 1) == 5
@@ -337,7 +359,7 @@ class TestTau:
             tau(4, 2, 1)
         with pytest.raises(ValueError):
             tau(3, 1, 4)
-        # refused before any work: the scan builds one column entry per orbit index 1..n
+        # refused before any work: the property-G scan is linear in n
         for n in (0, sys.maxsize + 1):
             with pytest.raises(ValueError, match="need n"):
                 tau(n, 1, 1)
@@ -349,6 +371,111 @@ class TestTau:
             seven_design_possible(5, (1, 2, 3, 4), 1)
         with pytest.raises(ValueError):
             seven_design_possible(5, (1, 2), 3)
+
+
+class TestReducedColumns:
+    def test_times_positive_factor_are_the_columns(self):
+        # _columns = reduced column * 2^k C(n-1, k-1) / (n-1)_(M-1), M = 2 for a and 3 for b
+        for n in range(3, 41):
+            ks = range(1, n + 1)
+            for k, a, b, ra, rb in zip(ks, *_columns(n, ks), *_reduced_columns(n, ks)):
+                factor = 2**k * binomial(n - 1, k - 1)
+                assert a * (n - 1) == ra * factor, (n, k)
+                assert b * (n - 1) * (n - 2) == rb * factor, (n, k)
+
+    def test_rules_are_unchanged_under_positive_scales(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            size = rng.randint(1, 3)
+            a = [rng.randint(-4, 4) for _ in range(size)]
+            b = [rng.randint(-4, 4) for _ in range(size)]
+            per_index = [rng.randint(1, 9) for _ in range(size)]
+            col_a, col_b = rng.randint(1, 9), rng.randint(1, 9)
+            sa = [col_a * s * x for s, x in zip(per_index, a)]
+            sb = [col_b * s * y for s, y in zip(per_index, b)]
+            assert _five_design_rule(sa) == _five_design_rule(a), (a, per_index, col_a)
+            for p in range(1, size + 1):
+                assert _seven_design_rule(sa, sb, p) == _seven_design_rule(a, b, p), (a, b, p, per_index)
+
+
+def _witnesses(n):
+    """(1, m, n) and (1, m', n): m = floor((n+2)/3), and m' = m - 1 when n = 1 (mod 3), else m."""
+    m = (n + 2) // 3
+    return (1, m, n), (1, m - 1 if n % 3 == 1 else m, n)
+
+
+class TestTauForEveryN:
+    """The candidate index sets of ``tau`` decide every tau(p, j) for every n >= 5.
+
+    Each reduced column entry is a polynomial in n and k: a_k of total degree
+    2 and b_k of total degree 2, so c = a x b has degree at most 4.  Along
+    n = 3q + r with k linear in q they are polynomials in q, whose signs
+    ``sign_from`` proves for every q from their values and a root bound.
+    """
+
+    def test_a_vanishes_only_at_the_balance_point(self):
+        """a_k = 2k(n+2-3k), so a_k = 0 iff 3k = n + 2.
+
+        Only if: a single orbit is a 5-design iff a_k = 0, so only the balanced
+        orbit can be, and it is a candidate when n = 1 (mod 3).  A triple on
+        p = 2 radii passes the rule only with a zero middle a_k, so
+        tau(2, 3) = 7 needs n = 1 (mod 3).  A single orbit is never a 7-design.
+        """
+        def diff(n, k):
+            return _reduced_columns(n, [k])[0][0] - 2 * k * (n + 2 - 3 * k)
+
+        assert vanishes_identically(diff, (2, 2), (3, 1))
+        for n in range(3, 60):
+            singles = [ks for ks in _candidates(n) if len(ks) == 1]
+            assert singles == ([((n + 2) // 3,)] if n % 3 == 1 else []), n
+
+    def test_first_and_last_orbits_straddle(self):
+        """a_1 > 0 > a_n for every n >= 3, so (1, n) and (1, 2, n) are 5-designs
+        and tau(p, j) >= 5 for j >= 2."""
+        assert sign_from(lambda n: _reduced_columns(n, [1])[0][0], 2, 3) == 1
+        assert sign_from(lambda n: _reduced_columns(n, [n])[0][0], 2, 3) == -1
+
+    def test_pair_determinant_is_a_multiple_of_g(self):
+        """a1 b2 - a2 b1 = 12 (n + 8)(k1 - k2) G(n, k1, k2) on the reduced columns.
+
+        Unreduced, the factor is c(n) = 12 (n+8) / ((n-1)^2 (n-2)) > 0 times the
+        positive 2^k C(n-1, k-1) of both indices.  So a pair's columns are
+        parallel iff G = 0.  Only if: the pair rule also needs p = 1, so no pair
+        on two radii is a 7-design.  As 6(k1-1)(k2-1) + 2(n-1) > 0, G = 0 forces
+        opposite-signed a, so when any pair passes the rule, the first
+        property-G pair, a candidate, passes it too.
+        """
+        def diff(n, k1, k2):
+            (a1, a2), (b1, b2) = _reduced_columns(n, [k1, k2])
+            return a1 * b2 - a2 * b1 - 12 * (n + 8) * (k1 - k2) * g_function(n, k1, k2)
+
+        assert vanishes_identically(diff, (3, 2, 2), (3, 1, 1))
+        for n in range(3, 60):
+            assert property_g(n) is None or property_g(n) in _candidates(n)
+
+    def test_witness_triples(self):
+        """With n = 3q + r and n >= 5, c = a x b is strictly negative on (1, m, n) and
+        (1, m', n), the middle a_k is identically 0 on (1, m, n) when r = 1, and it is
+        positive on (1, m', n).  So (1, m, n) is a 7-design at p = 1, and at p = 2 when
+        n = 1 (mod 3); (1, m', n) is one at p = 3.  Both are candidates."""
+        for r, first_q in ((0, 2), (1, 2), (2, 1)):
+            for which in (0, 1):
+                def columns(q, r=r, which=which):
+                    n = 3 * q + r
+                    return _reduced_columns(n, _witnesses(n)[which])
+
+                for i in range(3):
+                    assert sign_from(lambda q: _triple_kernel(*columns(q))[i], 4, first_q) == -1, (r, which, i)
+
+                def middle(q):
+                    return columns(q)[0][1]
+
+                if r == 1 and which == 0:
+                    assert vanishes_identically(middle, (2,), (first_q,))
+                else:
+                    assert sign_from(middle, 2, first_q) == 1, (r, which)
+        for n in range(5, 60):
+            assert set(_witnesses(n)) <= set(_candidates(n)), n
 
 
 class TestPositiveNullvector:

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import design_residual, enumerated_layer_sum, enumerated_monomial_sum, squared_radius_polynomial
+from helpers import (
+    design_residual,
+    enumerated_layer_sum,
+    enumerated_monomial_sum,
+    reference_property_g,
+    squared_radius_polynomial,
+)
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
@@ -55,6 +61,10 @@ class TestPropertyG:
         for n in (1, 2, 5, 11, 50, 100):
             k1, k2 = property_g(n)
             assert g_function(n, k1, k2) == 0
+
+    def test_matches_reference_pair_loop(self):
+        for n in range(1, 301):
+            assert property_g(n) == reference_property_g(n), n
 
     def test_multiples_of_three_never_qualify(self):
         for n in range(3, 100, 3):
