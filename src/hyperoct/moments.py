@@ -7,9 +7,10 @@ the defining property of a Euclidean t-design because monomials span the
 polynomial space.
 
 Every layer is a complete hyperoctahedral orbit, so the orbit-sum kernel
-uses its sign-flip and permutation symmetry (see ``_orbit_monomial_sum``)
-but no counting formula, which keeps this oracle independent of the
-closed forms in ``strength``.
+uses its sign-flip and permutation symmetry (see ``_orbit_monomial_sum``),
+and the scan tests one monomial per permutation class (see
+``first_failure``), but no counting formula, which keeps this oracle
+independent of the closed forms in ``strength``.
 """
 
 from __future__ import annotations
@@ -117,19 +118,39 @@ class OracleFailure(NamedTuple):
     residual: Fraction
 
 
+def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into at most `parts` parts of at most `largest`, in
+    decreasing lexicographic order."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
 def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
-    """First monomial of degree <= t_max whose residual is nonzero.
+    """First monomial of degree <= t_max, in ``monomials_of_degree`` order, whose
+    residual is nonzero.
 
     Degrees are scanned in increasing order; odd degrees cannot fail for
-    antipodal configurations and are skipped.  Every layer's orbit is
-    checked against the point cap before the scan.
+    antipodal configurations and are skipped.  Every layer is a complete
+    orbit, so a residual is the same for every permutation of the exponents,
+    and each even degree tests one monomial per partition l1 >= ... >= lm of
+    it: (l1, ..., lm, 0, ..., 0), the first monomial of its permutation class.
+    The partitions are taken in decreasing lexicographic order, the order of
+    those first monomials.  Every layer's orbit is checked against the caps
+    before the scan.
     """
     if t_max < 0:
         raise ValueError(f"strength must be non-negative, got {t_max}")
     for layer in cfg.layers:
         check_orbit(cfg.n, layer.k)
     for degree in range(2, t_max + 1, 2):
-        for exponents in monomials_of_degree(cfg.n, degree):
+        for parts in _partitions(degree, cfg.n, degree):
+            exponents = parts + (0,) * (cfg.n - len(parts))
             residual = monomial_residual(cfg, exponents)
             if residual != 0:
                 return OracleFailure(degree, exponents, residual)

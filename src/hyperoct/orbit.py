@@ -19,6 +19,11 @@ from functools import lru_cache
 from .numeric import as_rational, binomial, format_rational
 
 POINT_CAP = 10**6
+# The most integers, n per point, that one enumerated orbit may hold: a wide orbit
+# under POINT_CAP can still be too large for memory (n = 10^5, k = 1 has 2 * 10^5
+# points and 2 * 10^10 coordinates).  Every orbit the tests, the benchmark and the
+# README enumerate fits, and so does I^15_7: 12.4 M coordinates, about 155 MB as tuples.
+COORDINATE_CAP = 2 * 10**7
 # The largest orbit index accepted anywhere, checked by ``orbit_index`` before any 2^k
 # is formed (2^k alone at k = 10**20 does not fit in memory).  The degree-4 and degree-6
 # layer sums at k = n/2 take 0.02 s together at n = 10^4 and 1.0 s at n = 10^5
@@ -27,7 +32,7 @@ INDEX_CAP = 10**4
 
 
 class OrbitSizeError(ValueError):
-    """Raised when an orbit enumeration would exceed POINT_CAP points."""
+    """Raised when an orbit enumeration would exceed POINT_CAP points or COORDINATE_CAP integers."""
 
 
 class ConfigError(ValueError):
@@ -52,7 +57,8 @@ def orbit_index(k) -> int:
 
 
 def check_orbit(n: int, k: int) -> None:
-    """Raise unless 1 <= k <= n and the orbit has at most POINT_CAP points."""
+    """Raise unless 1 <= k <= n, the orbit has at most POINT_CAP points and its
+    points hold at most COORDINATE_CAP integers."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k >= POINT_CAP.bit_length():
@@ -61,6 +67,8 @@ def check_orbit(n: int, k: int) -> None:
     size = orbit_size(n, k)
     if size > POINT_CAP:
         raise OrbitSizeError(f"orbit has {size} points, cap is {POINT_CAP}")
+    if n * size > COORDINATE_CAP:
+        raise OrbitSizeError(f"orbit has {size} points of {n} coordinates, cap is {COORDINATE_CAP} coordinates")
 
 
 @lru_cache(maxsize=256)

@@ -273,15 +273,16 @@ def _reduced_columns(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
     return [k * _reduced_sum(f42, n, k) for k in ks], [_reduced_sum(f63, n, k) for k in ks]
 
 
-def _candidates(n: int) -> list[tuple[int, ...]]:
-    """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``)."""
+def _candidates(n: int, with_pair: bool = True) -> list[tuple[int, ...]]:
+    """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``); the
+    first property-G pair, whose O(n) scan only j = 2 reads, when with_pair is set."""
     m = min(max((n + 2) // 3, 2), n - 1)
     sets = [(1, n), (1, 2, n), (1, m, n)]
     if n % 3 == 1:
         sets.append((m,))
         if m > 2:
             sets.append((1, m - 1, n))
-    pair = property_g(n)
+    pair = property_g(n) if with_pair else None
     if pair is not None:
         sets.append(pair)
     return sets
@@ -306,7 +307,8 @@ def tau(n: int, p: int, j: int) -> int:
     """
     if not 1 <= p <= j <= 3:
         raise ValueError("need 1 <= p <= j <= 3")
-    return tau_table(n)[(p, j)]
+    _check_scan(n)
+    return _tau([_reduced_columns(n, ks) for ks in _candidates(n, with_pair=j == 2)], p, j)
 
 
 def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .moments import max_strength_oracle
 from .numeric import as_rational, binomial
-from .orbit import DesignConfig
+from .orbit import DesignConfig, OrbitSizeError
 from .solver import FeasibilityResult, solve_t5, solve_t7
 from .strength import classify
 
@@ -89,6 +89,9 @@ def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
 
 # -- tightness verdicts ----------------------------------------------
 
+# the oracle cross-check's degree, past the largest strength (7) that classify reports
+_CROSS_CHECK_T = 9
+
 
 def is_tight(cfg: DesignConfig) -> bool:
     """Whether the configuration meets the size bound at its strength (see ``tightness_certificate``)."""
@@ -98,15 +101,21 @@ def is_tight(cfg: DesignConfig) -> bool:
 def tightness_certificate(cfg: DesignConfig) -> dict:
     """Machine-checkable certificate: config, strength report, bound, verdict.
 
-    The strength is cross-checked against the oracle for n <= 6.
+    The strength is cross-checked against the oracle to degree 9 whenever every
+    layer's orbit is within the enumeration caps; ``oracle_check`` records that
+    it ran, or the ``OrbitSizeError`` message that kept it from running.
     """
     report = classify(cfg)
-    if cfg.n <= 6:
-        oracle_t = max_strength_oracle(cfg, t_max=9)
+    try:
+        oracle_t = max_strength_oracle(cfg, t_max=_CROSS_CHECK_T)
+    except OrbitSizeError as exc:
+        oracle_check = {"ran": False, "reason": str(exc)}
+    else:
         if oracle_t != report.strength:
             raise AssertionError(
                 f"classifier strength {report.strength} disagrees with oracle {oracle_t}"
             )
+        oracle_check = {"ran": True, "t_max": _CROSS_CHECK_T}
     bound = fisher_bound(cfg.n, cfg.p, report.strength)
     return {
         "config": cfg.to_json_dict(),
@@ -116,4 +125,5 @@ def tightness_certificate(cfg: DesignConfig) -> dict:
         "fisher_bound": bound.to_json_dict(),
         "antipodal": True,
         "tight": cfg.size == bound.value,
+        "oracle_check": oracle_check,
     }

@@ -15,9 +15,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from hyperoct.harmonic import BasisElement, embed
-from hyperoct.moments import monomial_residual, sphere_monomial_average
+from hyperoct.moments import OracleFailure, monomial_residual, monomials_of_degree, sphere_monomial_average
 from hyperoct.numeric import binomial
-from hyperoct.orbit import DesignConfig, make_config, orbit_size, orbit_tuples
+from hyperoct.orbit import DesignConfig, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
 from hyperoct.solver import _columns, _five_design_rule, _seven_design_rule
 from hyperoct.strength import g_function
@@ -486,7 +486,7 @@ def g_form_weights(n: int, ks: Sequence[int], r2: dict[int, Fraction]) -> list[F
     return [_u_to_weight(n, k, u) / w0 for k, u in zip(ks, us)]
 
 
-# -- the exhaustive searches that tau_table and property_g replace -------------
+# -- the exhaustive searches that tau_table, property_g and first_failure replace --
 
 
 def reference_tau_table(n: int) -> dict[tuple[int, int], int]:
@@ -511,6 +511,21 @@ def reference_property_g(n: int) -> tuple[int, int] | None:
         for k2 in range(k1, n + 1):
             if g_function(n, k1, k2) == 0:
                 return (k1, k2)
+    return None
+
+
+def reference_first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
+    """``moments.first_failure`` by a scan of every monomial of each even degree,
+    C(n+d-1, d) of them at degree d, instead of one per partition."""
+    if t_max < 0:
+        raise ValueError(f"strength must be non-negative, got {t_max}")
+    for layer in cfg.layers:
+        check_orbit(cfg.n, layer.k)
+    for degree in range(2, t_max + 1, 2):
+        for exponents in monomials_of_degree(cfg.n, degree):
+            residual = monomial_residual(cfg, exponents)
+            if residual != 0:
+                return OracleFailure(degree, exponents, residual)
     return None
 
 

@@ -115,16 +115,19 @@ class TestVerifyAndClassify:
         (None, ["orbit", "--n", str(10**20), "--k", str(10**20), "--count-only"]),
         (None, ["tau", "--n", str(10**20)]),
         (None, ["basis", "--n", "1000", "--s", "8", "--criterion"]),
+        (json.dumps({"n": 10**5, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "3"]),
+        (None, ["orbit", "--n", str(10**5), "--k", "1"]),
     ],
     ids=[
         "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20",
-        "basis-criterion-n-1000",
+        "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1",
     ],
 )
 def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
     # json.load's RecursionError, an n too large for [0] * n, two orbit indices whose 2^k would
-    # not fit in memory, an n too large to scan, and a criterion basis of about 4.2e10 embedded
-    # polynomials
+    # not fit in memory, an n too large to scan, a criterion basis of about 4.2e10 embedded
+    # polynomials, and two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
+    # coordinates would not fit in memory
     path = tmp_path / "config.json"
     if config is not None:
         path.write_text(config)

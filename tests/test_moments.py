@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import design_residual, enumerated_monomial_sum, residual_rational_points, sphere_average_gamma_oracle
+from helpers import (
+    PAPER_TABLE_N4_ERRATA_WITNESSES,
+    design_residual,
+    enumerated_monomial_sum,
+    random_configs,
+    reference_first_failure,
+    residual_rational_points,
+    sphere_average_gamma_oracle,
+)
+from hyperoct import moments
 from hyperoct.harmonic import criterion_f42, embed
 from hyperoct.moments import (
     _orbit_monomial_sum,
@@ -17,6 +26,8 @@ from hyperoct.moments import (
 from hyperoct.orbit import POINT_CAP, OrbitSizeError, make_config, orbit_size
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
+from hyperoct.strength import classify, g_function
+from hyperoct.tight import tight_5_3d, tight_7_3d, tight_7_4d, tightness_certificate
 
 
 def even_monomials(n, max_total):
@@ -157,12 +168,16 @@ class TestStrengthOracle:
         assert verify_strength(cfg, 0) and max_strength_oracle(cfg, 0) == 0
 
     def test_property_g_seven_design_in_dimension_fourteen(self):
-        # G(14; 3, 14) = 0; 2,912 + 16,384 points, beyond the n <= 11 the oracle used to reach
-        result = solve_t7(14, {3, 14}, {3: 1, 14: 1})
-        assert result.feasible
-        assert verify_strength(result.solution, 7)
-        failure = first_failure(result.solution, 9)
-        assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
+        # G(14; 3, 14) = G(14; 1, 6) = 0: 2,912 + 16,384 and 28 + 192,192 points, beyond the
+        # n <= 11 the oracle used to reach; the certificate's degree-9 cross-check runs on both
+        for J in ((3, 14), (1, 6)):
+            result = solve_t7(14, J, {k: 1 for k in J})
+            assert result.feasible
+            assert verify_strength(result.solution, 7)
+            failure = first_failure(result.solution, 9)
+            assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
+            assert classify(result.solution).strength == 7
+            assert tightness_certificate(result.solution)["oracle_check"] == {"ran": True, "t_max": 9}
 
 
 class TestRationalPointEngine:
@@ -196,3 +211,41 @@ def test_monomial_generation_counts():
     for n, d in [(3, 4), (4, 5), (6, 8)]:
         count = sum(1 for _ in monomials_of_degree(n, d))
         assert count == binomial(n + d - 1, n - 1)
+
+
+def _property_g_designs(max_n):
+    return [
+        solve_t7(n, (k1, k2), {k1: 1, k2: 1}).solution
+        for n in range(3, max_n + 1)
+        for k1 in range(1, n + 1)
+        for k2 in range(k1 + 1, n + 1)
+        if g_function(n, k1, k2) == 0
+    ]
+
+
+class TestPartitionScan:
+    def test_agrees_with_the_full_scan(self):
+        # the same witness, degree and residual as the scan of every monomial
+        configs = [*random_configs(), *PAPER_TABLE_N4_ERRATA_WITNESSES.values(), *_property_g_designs(11)]
+        for family in (tight_5_3d, tight_7_3d, tight_7_4d):
+            configs += [family(1, 2), family(Fraction(3, 4), Fraction(8, 3), Fraction(2, 7))]
+        assert len(configs) == 200 + 4 + 6 + 6
+        for cfg in configs:
+            for t in (3, 5, 7, 9, 11) if cfg.n <= 7 else (3, 5, 7, 9):
+                assert first_failure(cfg, t) == reference_first_failure(cfg, t), (cfg, t)
+
+    @pytest.mark.parametrize("design", [tight_7_3d(1, 2), tight_7_4d(1, 2), *_property_g_designs(5)])
+    def test_one_residual_per_partition(self, design, monkeypatch):
+        calls = []
+
+        def counted(cfg, exponents):
+            calls.append(exponents)
+            return monomial_residual(cfg, exponents)
+
+        monkeypatch.setattr(moments, "monomial_residual", counted)
+        assert first_failure(design, 7) is None
+        # p(d, at most n parts): the permutation classes of the monomials of degree d
+        classes = sum(
+            len({tuple(sorted(e)) for e in monomials_of_degree(design.n, d)}) for d in (2, 4, 6)
+        )
+        assert len(calls) == classes == len(set(calls))

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import MALFORMED_CONFIGS, orbit_union_size, partition_check
 from hyperoct.numeric import binomial
 from hyperoct.orbit import (
+    COORDINATE_CAP,
     INDEX_CAP,
     ConfigError,
     DesignConfig,
     Layer,
     OrbitSizeError,
+    check_orbit,
     make_config,
     orbit_size,
     orbit_tuples,
@@ -52,6 +54,12 @@ class TestEnumeration:
         # I^20_10 has 189,190,144 points; the cap is checked before any is built
         with pytest.raises(OrbitSizeError):
             orbit_tuples(20, 10)
+        # I^100000_1 has 2 * 10^5 points, under the point cap, but 2 * 10^10 coordinates
+        with pytest.raises(OrbitSizeError, match="coordinates"):
+            orbit_tuples(10**5, 1)
+        # the widest orbit the documentation enumerates, I^15_7, is admitted
+        assert 15 * orbit_size(15, 7) <= COORDINATE_CAP
+        check_orbit(15, 7)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

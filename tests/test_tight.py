@@ -194,3 +194,11 @@ def test_certificate_shape():
     assert certificate["strength_report"]["strength"] == 7
     assert certificate["antipodal"] is True
     assert certificate["config"]["layers"][1]["weight"] == "1/8"
+    assert certificate["oracle_check"] == {"ran": True, "t_max": 9}
+
+
+def test_certificate_records_why_the_cross_check_did_not_run():
+    # I^20_10 has 189,190,144 points, over the point cap; classify still decides the strength
+    certificate = tightness_certificate(make_config(20, [(1, 1, 1), (10, 1, 1)]))
+    assert certificate["strength_report"]["strength"] == 3
+    assert certificate["oracle_check"] == {"ran": False, "reason": "orbit has 189190144 points, cap is 1000000"}
