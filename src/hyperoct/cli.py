@@ -74,8 +74,8 @@ def _load_config(path: str) -> DesignConfig:
     return DesignConfig.from_json_dict(data)
 
 
-def _emit(data, pretty_lines=None, pretty: bool = False) -> None:
-    if pretty and pretty_lines is not None:
+def _emit(data, pretty_lines, pretty: bool = False) -> None:
+    if pretty:
         for line in pretty_lines:
             print(line)
     else:

@@ -123,10 +123,6 @@ def embed(f: Polynomial, g: Sequence[int], n: int) -> Polynomial:
 # -- the fixed criterion polynomials ---------------------------------
 
 
-def _poly(nvars: int, entries: dict[tuple[tuple[int, int], ...], int]) -> Polynomial:
-    return Polynomial(nvars, {mono: Fraction(c) for mono, c in entries.items()})
-
-
 def criterion_f42() -> Polynomial:
     """Re((x1 + i x2)^4)."""
     return _to_polynomial(_real_imag_powers(4, 1, 2), 2)
@@ -145,7 +141,7 @@ def criterion_f63() -> Polynomial:
         mono = tuple(sorted(((i, 4), (j, 2))))
         terms[mono] = -15
     terms[((1, 2), (2, 2), (3, 2))] = 180
-    return _poly(3, terms)
+    return Polynomial(3, terms)
 
 
 def criterion_f82() -> Polynomial:
@@ -154,7 +150,7 @@ def criterion_f82() -> Polynomial:
 
 
 def criterion_f831() -> Polynomial:
-    return _poly(3, {
+    return Polynomial(3, {
         ((1, 8),): 1,
         ((2, 8),): -1,
         ((1, 2), (2, 6)): 14,
@@ -184,7 +180,7 @@ def criterion_f84() -> Polynomial:
             mono = tuple(sorted(((i, 4), (j, 2), (k, 2))))
             terms[mono] = 210
     terms[((1, 2), (2, 2), (3, 2), (4, 2))] = -3780
-    return _poly(4, terms)
+    return Polynomial(4, terms)
 
 
 # seeds per degree: (number of variables, constructor), in display order

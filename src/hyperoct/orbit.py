@@ -205,5 +205,5 @@ def make_config(n: int, layers: list[tuple[int, object, object]]) -> DesignConfi
     """Build a config from (k, r_squared, weight) triples."""
     return DesignConfig(
         n=n,
-        layers=tuple(Layer(k=k, r_squared=as_rational(r2), weight=as_rational(w)) for k, r2, w in layers),
+        layers=tuple(Layer(k=k, r_squared=r2, weight=w) for k, r2, w in layers),
     )

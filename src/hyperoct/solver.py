@@ -3,15 +3,16 @@
 Given a dimension, a set of orbit indices, and squared radii, decides
 whether positive layer weights exist making the union a 5- or 7-design,
 and returns a normalized solution when they do.  Every answer is read off
-the defining equations of ``strength.classify`` themselves, through their
-integer orbit-sum columns (``_columns``, which ``tau`` reads with positive
-factors divided out): the signs of the columns and of
-their kernel decide feasibility, and the kernel gives the weights and the
-7-design radius identity.
+the defining equations of ``strength.classify`` themselves, through one
+pair of integer columns (``_columns``) with the positive factor of each
+index divided out: the signs of the columns and of their kernel decide
+feasibility, and the kernel gives the weights, with that factor
+multiplied back in, and the 7-design radius identity.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .numeric import as_rational
 from .orbit import DesignConfig, Layer, orbit_index
-from .strength import _EQUATIONS, _reduced_sum, layer_sum_f42, layer_sum_f63, property_g
+from .strength import _EQUATIONS, _reduced_sum, property_g
 
 _ONE = Fraction(1)
 
@@ -77,14 +78,17 @@ def _config(n: int, ks: list[int], r2: dict[int, Fraction], weights: Sequence[Fr
 
 
 def _columns(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The integer columns a_k = k L42(n, k) and b_k = L63(n, k) of the classify equations.
+    """The integer columns a_k = 2k(n+2-3k) and b_k of the f42 and f63 classify equations.
 
-    With u_k = w_k (r_k^2)^2 / k^3 and v_k = u_k r_k^2, both positive, the
-    f42_s0, f42_s1 and f63_s0 equations of ``classify`` read sum u_k a_k = 0,
-    sum v_k a_k = 0 and sum v_k b_k = 0.  A weight vector is w_k = x_k k^3 / (r_k^2)^i
-    for the solution x = u (i = 2) or x = v (i = 3).
+    They are k L42(n, k) and L63(n, k) with the positive factor 2^k C(n-1, k-1)
+    of each index and a positive constant of each column divided out
+    (``strength._reduced_sum``): polynomials in n and k, small for any k.  With
+    u_k = w_k (r_k^2)^2 2^k C(n-1, k-1) / k^3 and v_k = u_k r_k^2, both positive,
+    the f42_s0, f42_s1 and f63_s0 equations read sum u_k a_k = 0, sum v_k a_k = 0
+    and sum v_k b_k = 0.  Every feasibility rule is unchanged under these scales.
     """
-    return [k * layer_sum_f42(n, k) for k in ks], [layer_sum_f63(n, k) for k in ks]
+    f42, f63 = _EQUATIONS["f42"][0], _EQUATIONS["f63"][0]
+    return [k * _reduced_sum(f42, n, k) for k in ks], [_reduced_sum(f63, n, k) for k in ks]
 
 
 def _triple_kernel(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -97,9 +101,10 @@ def _triple_kernel(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _weights(ks: Sequence[int], r2: dict[int, Fraction], x: Sequence[int], power: int) -> list[Fraction]:
-    """The weights w_k = x_k k^3 / (r_k^2)^power of a solution x of the column equations."""
-    return [xk * k**3 / r2[k] ** power for xk, k in zip(x, ks)]
+def _weights(n: int, ks: Sequence[int], r2: dict[int, Fraction], x: Sequence[int], power: int) -> list[Fraction]:
+    """The weights w_k = x_k k^3 / (2^k C(n-1, k-1) (r_k^2)^power) of a solution x = u
+    (power 2) or x = v (power 3) of the column equations."""
+    return [xk * k**3 / (2**k * math.comb(n - 1, k - 1) * r2[k] ** power) for xk, k in zip(x, ks)]
 
 
 # -- 5-designs --------------------------------------------------------
@@ -124,7 +129,7 @@ def solve_t5(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
             return FeasibilityResult(True, "t5:single-orbit-balanced", _config(n, ks, r2, [_ONE]))
         return FeasibilityResult(False, "t5:single-orbit-off-balance")
     if feasible:
-        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, _weights(ks, r2, (-a[1], a[0]), 2)))
+        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, _weights(n, ks, r2, (-a[1], a[0]), 2)))
     return FeasibilityResult(False, "t5:pair-no-straddle")
 
 
@@ -188,8 +193,8 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     Radii must be supplied for every index in J (default: all 1).  A pair
     needs equal radii and the column condition of ``seven_design_possible``.
     A triple needs that condition, and with two distinct radii also matching
-    outer radii around a middle index with a_k = 0; its weights are
-    w_k = c_k k^3 / (r_k^2)^3, and the remaining f42_s0 equation is the 1/r^2
+    outer radii around a middle index with a_k = 0; its weights come
+    from c = a x b, and the remaining f42_s0 equation is the 1/r^2
     radius identity, which holds by itself on one radius or on two such radii.
     """
     ks = _validate(n, J)
@@ -204,7 +209,7 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
             return FeasibilityResult(False, "t7:pair-radii-differ")
         if not _seven_design_rule(a, b, 1):
             return FeasibilityResult(False, "t7:pair-nonzero-g")
-        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, _weights(ks, r2, (-a[1], a[0]), 3)))
+        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, _weights(n, ks, r2, (-a[1], a[0]), 3)))
 
     k1, k2, k3 = ks
     distinct = len({r2[k] for k in ks})
@@ -218,7 +223,7 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     c = _triple_kernel(a, b)
     if sum(ck * ak / r2[k] for ck, ak, k in zip(c, a, ks)) != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
-    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, _weights(ks, r2, c, 3)))
+    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, _weights(n, ks, r2, c, 3)))
 
 
 def seven_design_possible(n: int, J, p: int) -> bool:
@@ -262,17 +267,6 @@ def _check_scan(n: int) -> None:
         raise ValueError(f"need n <= {sys.maxsize} for the linear property-G scan, got n={n}")
 
 
-def _reduced_columns(n: int, ks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``_columns`` with the positive factor 2^k C(n-1, k-1) of each index and a positive
-    constant of each column divided out; a_k becomes 2k(n+2-3k).
-
-    Every feasibility rule is unchanged under a positive scale per index or per
-    column, and these entries are polynomials in n and k, small for any k.
-    """
-    f42, f63 = _EQUATIONS["f42"][0], _EQUATIONS["f63"][0]
-    return [k * _reduced_sum(f42, n, k) for k in ks], [_reduced_sum(f63, n, k) for k in ks]
-
-
 def _candidates(n: int, with_pair: bool = True) -> list[tuple[int, ...]]:
     """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``); the
     first property-G pair, whose O(n) scan only j = 2 reads, when with_pair is set."""
@@ -308,11 +302,11 @@ def tau(n: int, p: int, j: int) -> int:
     if not 1 <= p <= j <= 3:
         raise ValueError("need 1 <= p <= j <= 3")
     _check_scan(n)
-    return _tau([_reduced_columns(n, ks) for ks in _candidates(n, with_pair=j == 2)], p, j)
+    return _tau([_columns(n, ks) for ks in _candidates(n, with_pair=j == 2)], p, j)
 
 
 def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:
-    """tau(p, j) from the reduced columns of the candidate index sets, taking those of size j."""
+    """tau(p, j) from the columns of the candidate index sets, taking those of size j."""
     sized = [(a, b) for a, b in columns if len(a) == j]
     if any(_seven_design_rule(a, b, p) for a, b in sized):
         return 7
@@ -324,5 +318,5 @@ def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:
 def tau_table(n: int) -> dict[tuple[int, int], int]:
     """All tau(p, j) values for 1 <= p <= j <= 3."""
     _check_scan(n)
-    columns = [_reduced_columns(n, ks) for ks in _candidates(n)]
+    columns = [_columns(n, ks) for ks in _candidates(n)]
     return {(p, j): _tau(columns, p, j) for j in range(1, 4) for p in range(1, j + 1)}

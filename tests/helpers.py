@@ -19,8 +19,8 @@ from hyperoct.moments import OracleFailure, monomial_residual, monomials_of_degr
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
-from hyperoct.solver import _columns, _five_design_rule, _seven_design_rule
-from hyperoct.strength import g_function
+from hyperoct.solver import _five_design_rule, _seven_design_rule
+from hyperoct.strength import g_function, layer_sum_f42, layer_sum_f63
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -490,8 +490,13 @@ def g_form_weights(n: int, ks: Sequence[int], r2: dict[int, Fraction]) -> list[F
 
 
 def reference_tau_table(n: int) -> dict[tuple[int, int], int]:
-    """tau(p, j) from the feasibility rules on every j-subset of 1..n: C(n, 3) triples per p at j = 3."""
-    a, b = _columns(n, range(1, n + 1))
+    """tau(p, j) from the feasibility rules on every j-subset of 1..n: C(n, 3) triples per p at j = 3.
+
+    The rules read classify's own full-scale columns k L42(n, k) and L63(n, k),
+    not the solver's reduced ones.
+    """
+    a = [k * layer_sum_f42(n, k) for k in range(1, n + 1)]
+    b = [layer_sum_f63(n, k) for k in range(1, n + 1)]
     table = {}
     for j in range(1, 4):
         subsets = list(zip(itertools.combinations(a, j), itertools.combinations(b, j)))
@@ -698,8 +703,6 @@ PAPER_TABLE_N4_ERRATA_WITNESSES = {
 
 def seven_design_rows(n: int, J, r2: dict[int, Fraction]) -> list[list[Fraction]]:
     """The three degree <= 7 defining equations, one column per layer, from the closed forms."""
-    from hyperoct.strength import layer_sum_f42, layer_sum_f63
-
     return [
         [(r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],
         [r2[k] * (r2[k] / k) ** 2 * layer_sum_f42(n, k) for k in J],

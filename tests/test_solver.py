@@ -21,14 +21,13 @@ from helpers import (
     vanishes_identically,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
-from hyperoct import solver
+from hyperoct import solver, strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
     _candidates,
     _columns,
     _five_design_rule,
-    _reduced_columns,
     _seven_design_rule,
     _triple_kernel,
     five_design_possible,
@@ -40,7 +39,7 @@ from hyperoct.solver import (
     tau_table,
 )
 from hyperoct.numeric import binomial
-from hyperoct.strength import classify, g_function, property_g
+from hyperoct.strength import classify, g_function, layer_sum_f42, layer_sum_f63, property_g
 
 
 def layer_weights(cfg):
@@ -387,13 +386,14 @@ class TestTau:
 
 class TestReducedColumns:
     def test_times_positive_factor_are_the_columns(self):
-        # _columns = reduced column * 2^k C(n-1, k-1) / (n-1)_(M-1), M = 2 for a and 3 for b
+        # _columns * 2^k C(n-1, k-1) / (n-1)_(M-1), M = 2 for a and 3 for b, gives
+        # classify's own equations k L42(n, k) and L63(n, k)
         for n in range(3, 41):
             ks = range(1, n + 1)
-            for k, a, b, ra, rb in zip(ks, *_columns(n, ks), *_reduced_columns(n, ks)):
+            for k, ra, rb in zip(ks, *_columns(n, ks)):
                 factor = 2**k * binomial(n - 1, k - 1)
-                assert a * (n - 1) == ra * factor, (n, k)
-                assert b * (n - 1) * (n - 2) == rb * factor, (n, k)
+                assert ra * factor == k * layer_sum_f42(n, k) * (n - 1), (n, k)
+                assert rb * factor == layer_sum_f63(n, k) * (n - 1) * (n - 2), (n, k)
 
     def test_rules_are_unchanged_under_positive_scales(self):
         rng = random.Random(12)
@@ -408,6 +408,38 @@ class TestReducedColumns:
             assert _five_design_rule(sa) == _five_design_rule(a), (a, per_index, col_a)
             for p in range(1, size + 1):
                 assert _seven_design_rule(sa, sb, p) == _seven_design_rule(a, b, p), (a, b, p, per_index)
+
+    def test_the_solver_never_builds_a_full_scale_orbit_sum(self, monkeypatch):
+        """With ``strength._grouped_sum`` disabled, every solver entry point still gives
+        the same answers for 3 <= n <= 40: it reads only the reduced columns."""
+        def answers():
+            out = []
+            for n in range(3, 41):
+                out.append(tau_table(n))
+                out.append([tau(n, p, j) for j in range(1, 4) for p in range(1, j + 1)])
+                for ks in _candidates(n):
+                    out.append(five_design_possible(n, ks))
+                    out.append([seven_design_possible(n, ks, p) for p in range(1, len(ks) + 1)])
+                    out.append(solve_t7(n, ks).to_json_dict())
+                    if len(ks) <= 2:
+                        out.append(solve_t5(n, ks, {ks[-1]: Fraction(3, 2)}).to_json_dict())
+                    else:
+                        out.append(solve_t7(n, ks, dict(zip(ks, (2, 1, 2)))).to_json_dict())
+                        try:
+                            out.append(solve_radius_Q(n, ks, {ks[1]: 1, ks[2]: Fraction(1, 2)}))
+                        except DegenerateRadiusSystem as exc:
+                            out.append(str(exc))
+            return out
+
+        expected = answers()
+
+        def disabled(*args):
+            raise AssertionError("full-scale orbit sum")
+
+        monkeypatch.setattr(strength, "_grouped_sum", disabled)
+        with pytest.raises(AssertionError, match="full-scale"):
+            strength.layer_sum_f42(3, 1)
+        assert answers() == expected
 
 
 def _witnesses(n):
@@ -434,7 +466,7 @@ class TestTauForEveryN:
         tau(2, 3) = 7 needs n = 1 (mod 3).  A single orbit is never a 7-design.
         """
         def diff(n, k):
-            return _reduced_columns(n, [k])[0][0] - 2 * k * (n + 2 - 3 * k)
+            return _columns(n, [k])[0][0] - 2 * k * (n + 2 - 3 * k)
 
         assert vanishes_identically(diff, (2, 2), (3, 1))
         for n in range(3, 60):
@@ -444,8 +476,8 @@ class TestTauForEveryN:
     def test_first_and_last_orbits_straddle(self):
         """a_1 > 0 > a_n for every n >= 3, so (1, n) and (1, 2, n) are 5-designs
         and tau(p, j) >= 5 for j >= 2."""
-        assert sign_from(lambda n: _reduced_columns(n, [1])[0][0], 2, 3) == 1
-        assert sign_from(lambda n: _reduced_columns(n, [n])[0][0], 2, 3) == -1
+        assert sign_from(lambda n: _columns(n, [1])[0][0], 2, 3) == 1
+        assert sign_from(lambda n: _columns(n, [n])[0][0], 2, 3) == -1
 
     def test_pair_determinant_is_a_multiple_of_g(self):
         """a1 b2 - a2 b1 = 12 (n + 8)(k1 - k2) G(n, k1, k2) on the reduced columns.
@@ -458,7 +490,7 @@ class TestTauForEveryN:
         property-G pair, a candidate, passes it too.
         """
         def diff(n, k1, k2):
-            (a1, a2), (b1, b2) = _reduced_columns(n, [k1, k2])
+            (a1, a2), (b1, b2) = _columns(n, [k1, k2])
             return a1 * b2 - a2 * b1 - 12 * (n + 8) * (k1 - k2) * g_function(n, k1, k2)
 
         assert vanishes_identically(diff, (3, 2, 2), (3, 1, 1))
@@ -474,7 +506,7 @@ class TestTauForEveryN:
             for which in (0, 1):
                 def columns(q, r=r, which=which):
                     n = 3 * q + r
-                    return _reduced_columns(n, _witnesses(n)[which])
+                    return _columns(n, _witnesses(n)[which])
 
                 for i in range(3):
                     assert sign_from(lambda q: _triple_kernel(*columns(q))[i], 4, first_q) == -1, (r, which, i)
