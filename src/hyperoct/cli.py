@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .harmonic import criterion_basis, full_basis, fully_even_subset
 from .moments import first_failure
-from .numeric import format_rational
+from .numeric import as_rational, format_rational
 from .orbit import ConfigError, DesignConfig, orbit_size, orbit_tuples
 from .solver import solve_t5, solve_t7, tau_table
 from .strength import classify, property_g
@@ -23,10 +23,9 @@ from .tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d, tightness_c
 
 def _rational(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_rational(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r} (expected p or p/q)")
-    return value
 
 
 def _parse_r2_list(text: str) -> dict[int, Fraction]:
@@ -50,8 +49,8 @@ def _parse_r2_list(text: str) -> dict[int, Fraction]:
                 f"--r2 entry {pos} ({item!r}): orbit index {k} given twice"
             )
         try:
-            result[k] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            result[k] = as_rational(value)
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"--r2 entry {pos} ({item!r}): malformed rational {value!r}"
             )
@@ -74,26 +73,17 @@ def _load_config(path: str) -> DesignConfig:
     return DesignConfig.from_json_dict(data)
 
 
-def _emit(data, pretty_lines, pretty: bool = False) -> None:
-    if pretty:
-        for line in pretty_lines:
-            print(line)
-    else:
-        print(json.dumps(data, indent=2))
-
-
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple[int, dict, list[str]]:
     if not 1 <= args.k <= args.n:
         raise ValueError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     size = orbit_size(args.n, args.k)
     data = {"n": args.n, "k": args.k, "count": size}
     if not args.count_only:
         data["points"] = [list(pt) for pt in orbit_tuples(args.n, args.k)]
-    _emit(data, pretty=args.pretty, pretty_lines=[f"|I^{args.n}_{args.k}| = {size}"])
-    return 0
+    return 0, data, [f"|I^{args.n}_{args.k}| = {size}"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     cfg = _load_config(args.config)
     failure = first_failure(cfg, args.t)
     data = {
@@ -108,20 +98,18 @@ def _cmd_verify(args) -> int:
             "residual": format_rational(failure.residual),
         }
     verdict = "PASS" if failure is None else f"FAIL at degree {failure.degree}"
-    _emit(data, pretty=args.pretty, pretty_lines=[f"t={args.t}: {verdict}"])
-    return 0 if failure is None else 1
+    return (0 if failure is None else 1), data, [f"t={args.t}: {verdict}"]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     cfg = _load_config(args.config)
     report = classify(cfg)
     lines = [f"strength = {report.strength}"]
     lines += [f"  {eq} = {format_rational(v)}" for eq, v in report.residuals.items()]
-    _emit(report.to_json_dict(), pretty=args.pretty, pretty_lines=lines)
-    return 0
+    return 0, report.to_json_dict(), lines
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, dict, list[str]]:
     result = (solve_t5 if args.t == 5 else solve_t7)(args.n, args.J, args.r2)
     lines = [f"feasible: {result.feasible} ({result.reason})"]
     if result.solution:
@@ -129,11 +117,10 @@ def _cmd_solve(args) -> int:
             lines.append(
                 f"  k={layer.k}  r^2={format_rational(layer.r_squared)}  w={format_rational(layer.weight)}"
             )
-    _emit(result.to_json_dict(), pretty=args.pretty, pretty_lines=lines)
-    return 0 if result.feasible else 1
+    return (0 if result.feasible else 1), result.to_json_dict(), lines
 
 
-def _cmd_property_g(args) -> int:
+def _cmd_property_g(args) -> tuple[int, dict, list[str]]:
     values = []
     witnesses = {}
     for n in range(1, args.max + 1):
@@ -142,25 +129,18 @@ def _cmd_property_g(args) -> int:
             values.append(n)
             witnesses[str(n)] = list(witness)
     data = {"max": args.max, "values": values, "witnesses": witnesses}
-    lines = [", ".join(str(v) for v in values)]
-    _emit(data, pretty=args.pretty, pretty_lines=lines)
-    return 0
+    return 0, data, [", ".join(str(v) for v in values)]
 
 
-def _cmd_fisher(args) -> int:
+def _cmd_fisher(args) -> tuple[int, dict, list[str]]:
     bound = fisher_bound(args.n, args.p, args.t)
-    _emit(
-        bound.to_json_dict(),
-        pretty=args.pretty,
-        pretty_lines=[f"N({args.n},{args.p},{args.t}) = {bound.value}"],
-    )
-    return 0
+    return 0, bound.to_json_dict(), [f"N({args.n},{args.p},{args.t}) = {bound.value}"]
 
 
 _FAMILIES = {"5-3d": tight_5_3d, "7-3d": tight_7_3d, "7-4d": tight_7_4d}
 
 
-def _cmd_tight(args) -> int:
+def _cmd_tight(args) -> tuple[int, dict, list[str]]:
     cfg = _FAMILIES[args.family](args.r2, args.rho2, args.w)
     certificate = tightness_certificate(cfg)
     lines = [
@@ -169,19 +149,16 @@ def _cmd_tight(args) -> int:
         f"bound {certificate['fisher_bound']['value']}, "
         f"tight: {certificate['tight']}"
     ]
-    _emit(certificate, pretty=args.pretty, pretty_lines=lines)
-    return 0
+    return 0, certificate, lines
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> tuple[int, dict, list[str]]:
     table = tau_table(args.n)
     data = {"n": args.n, "tau": {f"p={p},j={j}": v for (p, j), v in sorted(table.items())}}
-    lines = [f"tau(p={p}, j={j}) = {v}" for (p, j), v in sorted(table.items())]
-    _emit(data, pretty=args.pretty, pretty_lines=lines)
-    return 0
+    return 0, data, [f"tau(p={p}, j={j}) = {v}" for (p, j), v in sorted(table.items())]
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> tuple[int, dict, list[str]]:
     if args.criterion:
         basis = criterion_basis(args.n, args.s)
         polys = list(basis.elements)
@@ -203,9 +180,7 @@ def _cmd_basis(args) -> int:
                 {"index": list(el.index), "poly": el.poly.canonical_str()} for el in elements
             ],
         }
-    lines = [f"{len(data['elements'])} basis elements"]
-    _emit(data, pretty=args.pretty, pretty_lines=lines)
-    return 0
+    return 0, data, [f"{len(data['elements'])} basis elements"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +249,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, data, lines = args.func(args)
+        # printed inside the try, so a failed write (a closed pipe) also exits 2 with one error line
+        print("\n".join(lines) if args.pretty else json.dumps(data, indent=2))
+        return code
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

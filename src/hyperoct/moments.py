@@ -21,10 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .numeric import double_factorial
+from .numeric import as_rational, double_factorial
 from .orbit import DesignConfig, check_orbit, orbit_size, orbit_tuples
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Fraction:
@@ -37,7 +38,7 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
         raise ValueError("sphere averages need n >= 2")
     if len(exponents) != n:
         raise ValueError("monomial has wrong number of variables")
-    r_squared = Fraction(r_squared)
+    r_squared = as_rational(r_squared)
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be non-negative")
     if any(e % 2 for e in exponents):
@@ -100,7 +101,7 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
         return left
     # the sphere average scales as (r^2)^half, so one unit-sphere average serves every layer
     mass = sum((layer.weight * orbit_size(cfg.n, layer.k) * layer.r_squared**half for layer in cfg.layers), _ZERO)
-    return left - mass * sphere_monomial_average(cfg.n, exponents, 1)
+    return left - mass * sphere_monomial_average(cfg.n, exponents, _ONE)
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[tuple[int, ...]]:

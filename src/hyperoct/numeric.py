@@ -33,16 +33,23 @@ def double_factorial(m: int) -> int:
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to Fraction."""
+    """The one conversion of a caller's exact value: a Fraction comes back unchanged,
+    an int or a rational string ('p/q', or an exact decimal such as '0.5') is converted.
+
+    A malformed string or a zero denominator raises ValueError.  Any other type, bool
+    and float included, raises TypeError: a float is a binary approximation, and a bool
+    is an int only by inheritance.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def format_rational(value: Fraction | int) -> str:
     """Canonical 'p/q' text form (plain 'p' when the denominator is 1)."""
-    return str(Fraction(value))
+    return str(as_rational(value))

@@ -114,6 +114,8 @@ class DesignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(sorted(self.layers, key=lambda l: l.k)))
+        if type(self.n) is not int:
+            raise ValueError(f"dimension n must be an int, got {self.n!r}")
         if self.n < 3:
             raise ValueError("configurations require n >= 3")
         ks = [layer.k for layer in self.layers]
@@ -192,13 +194,10 @@ def _json_int(value, field: str) -> int:
 
 
 def _json_rational(value, field: str) -> Fraction:
-    """An int, or an exact rational string such as 'p/q' with a nonzero denominator."""
     try:
-        if type(value) is int or isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ConfigError(f"{field}: expected an integer or a 'p/q' string, got {value!r}")
+        return as_rational(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: expected an integer or a 'p/q' string, got {value!r}") from None
 
 
 def make_config(n: int, layers: list[tuple[int, object, object]]) -> DesignConfig:

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from .numeric import as_rational
+
 Monomial = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
@@ -47,7 +49,7 @@ class Polynomial:
             raise ValueError("nvars must be non-negative")
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = as_rational(coeff)
             if coeff == 0:
                 continue
             for v, e in mono:
@@ -66,7 +68,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Polynomial":
-        return cls(nvars, {(): Fraction(value)})
+        return cls(nvars, {(): value})
 
     # -- ring operations ---------------------------------------------
 
@@ -75,7 +77,7 @@ class Polynomial:
             raise ValueError("polynomials live on different variable counts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(other, self.nvars)
         self._check_same_vars(other)
         acc = dict(self.terms)
@@ -89,13 +91,13 @@ class Polynomial:
         return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(other, self.nvars)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
+        if not isinstance(other, Polynomial):
+            scalar = as_rational(other)
             return Polynomial(self.nvars, {m: c * scalar for m, c in self.terms.items()})
         self._check_same_vars(other)
         acc: dict[Monomial, Fraction] = {}
@@ -224,7 +226,8 @@ class GegenbauerPoly:
     coefficients: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
+# typed, so that a bool or a float alpha misses an int's cache entry and is refused
+@lru_cache(maxsize=None, typed=True)
 def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
     """Degree-s Gegenbauer polynomial, scaled as by the Rodrigues formula
     (-1)^s / (2^s s!) (1-x^2)^(1/2-alpha) d^s/dx^s (1-x^2)^(alpha+s-1/2).
@@ -236,7 +239,7 @@ def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
     a_j = a_(j+2) (j+2)(j+1) / ((j-s)(j+s+2 alpha)), and j+s+2 alpha > 0 for
     j <= s-2 and alpha > -1.  Coefficients of the other parity stay 0.
     """
-    alpha = Fraction(alpha)
+    alpha = as_rational(alpha)
     if s < 0:
         raise ValueError("degree must be non-negative")
     if alpha <= -1:
@@ -259,7 +262,7 @@ def _block_form(k: int, m_k: int, m_k1: int, n: int) -> _IntegerForm:
     if not 0 <= m_k1 <= m_k:
         raise ValueError("need 0 <= m_(k+1) <= m_k")
     d = m_k - m_k1
-    coeffs = gegenbauer(d, Fraction(m_k1) + Fraction(n - k - 2, 2)).coefficients
+    coeffs = gegenbauer(d, Fraction(2 * m_k1 + n - k - 2, 2)).coefficients
     den = math.lcm(*(c.denominator for c in coeffs))
     # the block lives on variables x_{k+1}..x_n, dense positions k..n-1
     r2 = (1, {tuple(2 * (v == u) for v in range(n)): 1 for u in range(k, n)})

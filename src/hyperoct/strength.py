@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 
 def g_function(n: int, k1: int, k2: int) -> int:
     """The quadratic form whose zeros govern two-orbit 7-designs."""
-    if not (1 <= k1 <= n and 1 <= k2 <= n):
+    if not (1 <= orbit_index(k1) <= n and 1 <= orbit_index(k2) <= n):
         raise ValueError("need 1 <= k1, k2 <= n")
     return (n + 2 - 3 * k1) * (n + 2 - 3 * k2) + 6 * (k1 - 1) * (k2 - 1) + 2 * (n - 1)
 
@@ -62,6 +62,8 @@ def orbit_sum(poly: Polynomial, n: int, k: int) -> Fraction:
     exponent sums to 0, as flipping that coordinate's sign maps the orbit onto
     itself and negates it.  Only the exponents matter, not which variables carry them.
     """
+    if poly.nvars > n:
+        raise ValueError(f"polynomial on {poly.nvars} variables has no orbit sum in dimension n={n}")
     return Fraction(_grouped_sum(_support_sums(poly), n, k))
 
 

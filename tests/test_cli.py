@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,19 @@ def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
         path.write_text(config)
     code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_failed_write_is_usage_error(capsys, monkeypatch, pretty):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main([*pretty, "fisher", "--n", "3", "--p", "2", "--t", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 

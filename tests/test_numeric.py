@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import matrix_rank, nullspace, rref
+from hyperoct.moments import sphere_monomial_average
 from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational
+from hyperoct.orbit import make_config
+from hyperoct.poly import Polynomial, gegenbauer
+from hyperoct.solver import solve_radius_Q, solve_t5
+from hyperoct.tight import tight_5_3d
 
 
 def test_binomial_small_values():
@@ -68,6 +73,39 @@ def test_as_rational_accepts_common_forms():
     assert as_rational(Fraction(2, 4)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+# every entry point that takes an exact value from a caller, fed through one argument
+RATIONAL_ENTRY_POINTS = {
+    "as_rational": as_rational,
+    "make_config-r_squared": lambda v: make_config(3, [(1, v, 1)]),
+    "make_config-weight": lambda v: make_config(3, [(1, 1, v)]),
+    "solve_t5-radius": lambda v: solve_t5(3, [1, 3], {1: v}),
+    "solve_radius_Q-known": lambda v: solve_radius_Q(3, (1, 2, 3), {1: v, 2: 2}),
+    "tight_5_3d-r_squared": lambda v: tight_5_3d(v, 2),
+    "tight_5_3d-rho_squared": lambda v: tight_5_3d(1, v),
+    "tight_5_3d-weight": lambda v: tight_5_3d(1, 2, v),
+    "Polynomial-coefficient": lambda v: Polynomial(1, {((1, 1),): v}),
+    "gegenbauer-alpha": lambda v: gegenbauer(2, v),
+    "sphere_monomial_average-r_squared": lambda v: sphere_monomial_average(3, (2, 0, 0), v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "value, error",
+    # a bool is an int only by inheritance and 0.5 a binary approximation; "1/0" must not leak ZeroDivisionError
+    [(True, TypeError), (0.5, TypeError), ("1/0", ValueError), ("x", ValueError)],
+)
+def test_inexact_or_malformed_rationals_are_refused(entry, value, error):
+    with pytest.raises(error):
+        RATIONAL_ENTRY_POINTS[entry](value)
+
+
+def test_a_fraction_passes_the_gate_unchanged():
+    q = Fraction(3, 7)
+    assert as_rational(q) is q
+    assert Polynomial(1, {((1, 1),): q}).terms[((1, 1),)] is q
 
 
 def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:

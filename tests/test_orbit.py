@@ -123,6 +123,10 @@ class TestLayerValidation:
             make_config(3, [(4, 1, 1)])
         with pytest.raises(ValueError):
             DesignConfig(n=3, layers=())
+        # a float n would build a config that classify cannot read
+        for n in (4.5, 4.0, True, "4"):
+            with pytest.raises(ValueError, match="dimension n must be an int"):
+                make_config(n, [(1, 1, 1)])
 
     @pytest.mark.parametrize("k", [1.5, 1.0, True, Fraction(1), "1"])
     def test_orbit_index_must_be_an_int(self, k):

@@ -49,6 +49,11 @@ class TestGFunction:
             g_function(4, 0, 2)
         with pytest.raises(ValueError):
             g_function(4, 1, 5)
+        # a float index would be read as a point between two orbits (13.5 here)
+        with pytest.raises(ValueError, match="orbit index must be an int"):
+            g_function(5, 1.5, 2)
+        with pytest.raises(ValueError, match="orbit index must be an int"):
+            g_function(5, 1, True)
 
 
 class TestPropertyG:
@@ -188,6 +193,11 @@ class TestOrbitSumRule:
             orbit_sum(criterion_f42(), 3, 0)
         with pytest.raises(ValueError):
             orbit_sum(criterion_f42(), 3, 4)
+        # otherwise summed as if its variables were among the first n (2 and 24 here)
+        with pytest.raises(ValueError, match="5 variables"):
+            orbit_sum(Polynomial(5, {((5, 2),): 1}), 3, 1)
+        with pytest.raises(ValueError, match="4 variables"):
+            orbit_sum(criterion_f84(), 3, 1)
 
 
 class TestClassify:
