@@ -1,16 +1,19 @@
 """Ground-truth verification of the design property from first principles.
 
 Sphere averages of monomials have an exact rational closed form, and
-weighted sums over orbit layers are computed by enumerating the actual
-points.  Checking every monomial of total degree <= t is equivalent to
-the defining property of a Euclidean t-design because monomials span the
-polynomial space.
+weighted sums over orbit layers are computed by evaluating the monomial at
+orbit points.  Checking every monomial of total degree <= t is equivalent
+to the defining property of a Euclidean t-design because monomials span
+the polynomial space.
 
 Every layer is a complete hyperoctahedral orbit, so the orbit-sum kernel
-uses its sign-flip and permutation symmetry (see ``_orbit_monomial_sum``),
-and the scan tests one monomial per permutation class (see
-``first_failure``), but no counting formula, which keeps this oracle
-independent of the closed forms in ``strength``.
+uses its sign-flip and permutation symmetry: an odd exponent gives 0, and
+an all-even monomial takes the same value at every sign flip of a point,
+so it is evaluated at one point per sign class, the 0/1 point of each of
+the C(n, k) supports (see ``_orbit_monomial_sum``).  The scan tests one
+monomial per permutation class (see ``first_failure``).  No counting
+formula is used, which keeps this oracle independent of the closed forms
+in ``strength``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .numeric import as_rational, double_factorial
-from .orbit import DesignConfig, check_orbit, orbit_size, orbit_tuples
+from .orbit import DesignConfig, check_orbit, orbit_size
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,12 +36,15 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
 
     Zero if any exponent is odd; otherwise
     (r^2)^(|alpha|/2) * prod (a_i - 1)!! / prod_{j<|alpha|/2} (n + 2j).
+    A squared radius that is not positive raises ValueError.
     """
     if n < 2:
         raise ValueError("sphere averages need n >= 2")
     if len(exponents) != n:
         raise ValueError("monomial has wrong number of variables")
     r_squared = as_rational(r_squared)
+    if r_squared <= 0:
+        raise ValueError("squared radius must be positive")
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be non-negative")
     if any(e % 2 for e in exponents):
@@ -60,8 +66,8 @@ def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
 
     Flipping the sign of a coordinate with an odd exponent maps the orbit
     onto itself and negates x^alpha, so the sum is 0.  Otherwise the sum
-    is invariant under permuting the exponents and is enumerated once per
-    partition.  The orbit is checked against the point cap before either step.
+    is invariant under permuting the exponents and is evaluated once per
+    partition.  The orbit is checked against the caps before either step.
     """
     check_orbit(n, k)
     if any(e % 2 for e in exponents):
@@ -71,8 +77,19 @@ def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=4096)
 def _orbit_partition_sum(n: int, k: int, parts: tuple[int, ...]) -> int:
-    """Sum of prod_i x_i^parts[i] over the unscaled orbit points, by enumeration."""
-    return sum(math.prod(map(pow, coords, parts)) for coords in orbit_tuples(n, k))
+    """Sum of prod_i x_i^parts[i] over the unscaled orbit points, for even parts.
+
+    Every part is even, so the 2^k sign flips of a point give the same value:
+    the sum is 2^k times the sum over the sign classes, evaluated at the 0/1
+    point of each of the C(n, k) supports.
+    """
+    total = 0
+    for support in itertools.combinations(range(n), k):
+        point = [0] * n
+        for idx in support:
+            point[idx] = 1
+        total += math.prod(map(pow, point, parts))
+    return 2**k * total
 
 
 def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import MALFORMED_CONFIGS
-from hyperoct.cli import main
+from hyperoct.cli import PROPERTY_G_MAX, main
 from hyperoct.orbit import DesignConfig, make_config
 from hyperoct.tight import tight_5_3d
 
@@ -46,6 +46,15 @@ class TestPropertyG:
         assert code == 0
         assert data["values"] == PROPERTY_G_LE_100
         assert data["witnesses"]["8"] == [1, 4]
+
+    def test_cap(self, capsys):
+        # the largest accepted --max scans; one more is refused before any scan
+        from helpers import PROPERTY_G_LE_100
+
+        code, data = run_json(capsys, "property-g", "--max", str(PROPERTY_G_MAX))
+        assert code == 0 and data["values"][: len(PROPERTY_G_LE_100)] == PROPERTY_G_LE_100
+        code, out, err = run(capsys, "property-g", "--max", str(PROPERTY_G_MAX + 1))
+        assert code == 2 and out == "" and str(PROPERTY_G_MAX) in err
 
 
 class TestOrbit:
@@ -119,17 +128,18 @@ class TestVerifyAndClassify:
         (None, ["basis", "--n", "1000", "--s", "8", "--criterion"]),
         (json.dumps({"n": 10**5, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "3"]),
         (None, ["orbit", "--n", str(10**5), "--k", "1"]),
+        (None, ["property-g", "--max", str(10**6)]),
     ],
     ids=[
         "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20",
-        "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1",
+        "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1", "property-g-max-1e6",
     ],
 )
 def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
     # json.load's RecursionError, an n too large for [0] * n, two orbit indices whose 2^k would
     # not fit in memory, an n too large to scan, a criterion basis of about 4.2e10 embedded
-    # polynomials, and two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
-    # coordinates would not fit in memory
+    # polynomials, two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
+    # coordinates would not fit in memory, and a property-G scan quadratic in its --max
     path = tmp_path / "config.json"
     if config is not None:
         path.write_text(config)

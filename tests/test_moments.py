@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from helpers import (
     residual_rational_points,
     sphere_average_gamma_oracle,
 )
-from hyperoct import moments
+from hyperoct import moments, orbit
 from hyperoct.harmonic import criterion_f42, embed
 from hyperoct.moments import (
     _orbit_monomial_sum,
@@ -48,6 +50,12 @@ class TestSphereAverage:
 
     def test_fourth_power(self):
         assert sphere_monomial_average(4, (4, 0, 0, 0), 1) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("r_squared", [-1, 0])
+    def test_rejects_a_squared_radius_that_is_not_positive(self, r_squared):
+        for exps in [(2, 0, 0), (1, 1, 0)]:
+            with pytest.raises(ValueError):
+                sphere_monomial_average(3, exps, r_squared)
 
     def test_rejects_wrong_variable_count(self):
         for exps in [(2, 2, 2, 2), (2, 2)]:
@@ -98,6 +106,30 @@ def test_partially_odd_orbit_sums_vanish_by_enumeration():
                     assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
                     if any(e % 2 for e in exps):
                         assert expected == 0, (n, k, exps)
+
+
+def test_orbit_sums_agree_with_a_sum_over_the_orbit_points():
+    # the sign-class kernel against a sum over every point of I^n_k, for n = 7..11, every k
+    # and one monomial per partition of each even degree <= 10, its parts in increasing
+    # order at the end; only those last m coordinates of a point matter, so the points are
+    # summed grouped by them
+    try:
+        for n in range(7, 12):
+            for k in range(1, n + 1):
+                points = orbit.orbit_tuples(n, k)
+                grouped = {}
+                for degree in range(0, 11, 2):
+                    for parts in moments._partitions(degree, n, degree):
+                        m = len(parts)
+                        if m not in grouped:
+                            grouped[m] = Counter(point[n - m:] for point in points)
+                        exps = (0,) * (n - m) + parts[::-1]
+                        expected = sum(
+                            count * math.prod(map(pow, tail, parts[::-1])) for tail, count in grouped[m].items()
+                        )
+                        assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
+    finally:
+        orbit.orbit_tuples.cache_clear()
 
 
 @pytest.mark.parametrize("exps", [(1, 1), (3, 0, 1), (2, 2)])
@@ -166,6 +198,19 @@ class TestStrengthOracle:
             with pytest.raises(ValueError):
                 check(cfg, -3)
         assert verify_strength(cfg, 0) and max_strength_oracle(cfg, 0) == 0
+
+    def test_the_oracle_enumerates_no_orbit_points(self, monkeypatch):
+        # the kernel walks the supports of I^14_6, never its 192,192 points
+        def refuse(n, k):
+            raise AssertionError(f"orbit_tuples({n}, {k}) called")
+
+        assert not hasattr(moments, "orbit_tuples")
+        monkeypatch.setattr(orbit, "orbit_tuples", refuse)
+        moments._orbit_monomial_sum.cache_clear()
+        moments._orbit_partition_sum.cache_clear()
+        design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
+        failure = first_failure(design, 9)
+        assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
 
     def test_property_g_seven_design_in_dimension_fourteen(self):
         # G(14; 3, 14) = G(14; 1, 6) = 0: 2,912 + 16,384 and 28 + 192,192 points, beyond the
