@@ -13,7 +13,8 @@ so it is evaluated at one point per sign class, the 0/1 point of each of
 the C(n, k) supports (see ``_orbit_monomial_sum``).  The scan tests one
 monomial per permutation class (see ``first_failure``).  No counting
 formula is used, which keeps this oracle independent of the closed forms
-in ``strength``.
+in ``strength``.  Each residual is summed in integers over the layers and
+reduced once (see ``monomial_residual``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .numeric import as_rational, double_factorial
+from .numeric import as_rational, double_factorial, fraction_sum
 from .orbit import DesignConfig, check_orbit, orbit_size
 
 _ZERO = Fraction(0)
@@ -97,8 +98,9 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
 
     Odd total degree is exactly zero on both sides (the configuration is
     antipodal and odd monomials average to zero), so enumeration is
-    skipped in that case.  An odd exponent in an even total makes the
-    sphere side zero, so only the orbit sums are taken.
+    skipped in that case.  An odd exponent in an even total makes both
+    sides zero, but the orbit sums are taken first, so an orbit over the
+    caps raises ``OrbitSizeError`` either way.
     """
     exponents = tuple(exponents)
     if len(exponents) != cfg.n:
@@ -108,17 +110,22 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     degree = sum(exponents)
     if degree % 2:
         return _ZERO
-    half = degree // 2
-    left = _ZERO
-    for layer in cfg.layers:
-        orbit_sum = _orbit_monomial_sum(cfg.n, layer.k, exponents)
-        if orbit_sum:
-            left += layer.weight * (layer.r_squared / layer.k) ** half * orbit_sum
+    n, half = cfg.n, degree // 2
+    # every orbit is checked against the caps before the odd-exponent shortcut
+    sums = [_orbit_monomial_sum(n, layer.k, exponents) for layer in cfg.layers]
     if any(e % 2 for e in exponents):
-        return left
-    # the sphere average scales as (r^2)^half, so one unit-sphere average serves every layer
-    mass = sum((layer.weight * orbit_size(cfg.n, layer.k) * layer.r_squared**half for layer in cfg.layers), _ZERO)
-    return left - mass * sphere_monomial_average(cfg.n, exponents, _ONE)
+        return _ZERO
+    # the sphere average scales as (r^2)^half, so one unit-sphere average sn/sd serves
+    # every layer: w (r^2/k)^half S - w |O| (r^2)^half sn/sd with r^2 = p/q and w = a/b
+    # is a p^half (S sd - |O| k^half sn) / (b q^half k^half sd)
+    sn, sd = sphere_monomial_average(n, exponents, _ONE).as_integer_ratio()
+    return fraction_sum(
+        (
+            layer.weight.numerator * layer.r_squared.numerator**half * (s * sd - orbit_size(n, layer.k) * layer.k**half * sn),
+            layer.weight.denominator * (layer.r_squared.denominator * layer.k) ** half * sd,
+        )
+        for layer, s in zip(cfg.layers, sums)
+    )
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[tuple[int, ...]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 
 def binomial(n: int, k: int) -> int:
@@ -48,6 +49,20 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of the fractions num/den of (num, den) int pairs, added in integers over a
+    running lcm of the denominators and reduced once, where a term-by-term Fraction
+    sum reduces every partial sum.  A denominator that is not positive raises ValueError.
+    """
+    total, common = 0, 1
+    for num, den in pairs:
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        g = math.gcd(common, den)
+        total, common = total * (den // g) + num * (common // g), common // g * den
+    return Fraction(total, common)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeric import as_rational
+from .numeric import as_rational, fraction_sum
 from .orbit import DesignConfig, Layer, orbit_index
 from .strength import _EQUATIONS, _reduced_sum, property_g
 
@@ -173,7 +173,7 @@ def solve_radius_Q(n: int, ks, known: Mapping) -> Fraction | None:
         raise DegenerateRadiusSystem(
             f"coefficient of 1/r^2 for k={missing[0]} vanishes; the identity cannot determine it"
         )
-    rhs = sum(coeffs[i] / r2[k] for i, k in enumerate(ks) if i != m)
+    rhs = fraction_sum((coeffs[i] * r2[k].denominator, r2[k].numerator) for i, k in enumerate(ks) if i != m)
     y = -rhs / coeffs[m]
     if y <= 0:
         return None
@@ -221,7 +221,7 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     if not _seven_design_rule(a, b, 1):
         return FeasibilityResult(False, "t7:triple-sign-pattern-fails")
     c = _triple_kernel(a, b)
-    if sum(ck * ak / r2[k] for ck, ak, k in zip(c, a, ks)) != 0:
+    if fraction_sum((ck * ak * r2[k].denominator, r2[k].numerator) for ck, ak, k in zip(c, a, ks)) != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
     return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, _weights(n, ks, r2, c, 3)))
 

@@ -4,7 +4,8 @@ A fully symmetric configuration is always a 3-design.  Strength 5 and 7
 are decided by a handful of exact linear conditions on the orbit sums of
 the criterion polynomials of ``harmonic``, all given by one counting rule
 (``orbit_sum``), and strength 9 is impossible because the degree-8
-two-variable criterion sum is strictly positive on every orbit.
+two-variable criterion sum is strictly positive on every orbit.  Each
+residual is summed in integers over the layers and reduced once.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84
-from .numeric import binomial, format_rational
+from .numeric import binomial, format_rational, fraction_sum
 from .orbit import DesignConfig, orbit_index
 from .poly import Polynomial
-
-_ZERO = Fraction(0)
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
@@ -156,16 +155,16 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     for n = 3 and is omitted there.
     """
     n = cfg.n
+    # each layer read once as ints: k, r^2 = p/q, w = a/b
+    layers = [(layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio()) for layer in cfg.layers]
     residuals: dict[str, Fraction] = {}
     for sums, scale, eq_ids in _EQUATIONS.values():
         if max(sums) > n:
             continue
-        terms = [
-            (layer.weight * (layer.r_squared / layer.k) ** scale * _grouped_sum(sums, n, layer.k), layer.r_squared)
-            for layer in cfg.layers
-        ]
-        for power, eq in enumerate(eq_ids):
-            residuals[eq] = sum((term * r2**power for term, r2 in terms), _ZERO)
+        # w (r^2/k)^scale (r^2)^power G = a p^e G / (b q^e k^scale), e = scale + power
+        terms = [(a * _grouped_sum(sums, n, k), b * k**scale, p, q) for k, p, q, a, b in layers]
+        for e, eq in enumerate(eq_ids, start=scale):
+            residuals[eq] = fraction_sum((num * p**e, den * q**e) for num, den, p, q in terms)
 
     if all(residuals[eq] == 0 for eq in EQ_IDS_T7):
         strength = 7

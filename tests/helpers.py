@@ -8,19 +8,21 @@ from a gamma-function identity, and feasibility from raw linear systems.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 from hyperoct.harmonic import BasisElement, embed
-from hyperoct.moments import OracleFailure, monomial_residual, monomials_of_degree, sphere_monomial_average
+from hyperoct.moments import OracleFailure, first_failure, monomial_residual, monomials_of_degree, sphere_monomial_average
 from hyperoct.numeric import binomial
-from hyperoct.orbit import DesignConfig, check_orbit, make_config, orbit_size, orbit_tuples
+from hyperoct.orbit import DesignConfig, OrbitSizeError, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
 from hyperoct.solver import _five_design_rule, _seven_design_rule
-from hyperoct.strength import g_function, layer_sum_f42, layer_sum_f63
+from hyperoct.strength import _EQUATIONS, _grouped_sum, g_function, layer_sum_f42, layer_sum_f63
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -69,6 +71,49 @@ def sphere_average_gamma_oracle(n: int, exponents, r_squared) -> Fraction:
     expr /= sympy.gamma(sympy.Rational(n + total, 2))
     assert expr.is_Rational
     return Fraction(r_squared) ** (total // 2) * Fraction(int(expr.p), int(expr.q))
+
+
+# -- the residuals summed term by term in Fractions -----------------------
+#
+# classify and the oracle sum each residual in integers and reduce it once;
+# these are the formulas they replaced, one Fraction per term, as references.
+
+
+def reference_classify_residuals(cfg: DesignConfig) -> dict[str, Fraction]:
+    """``classify``'s residuals as sums of w (r^2/k)^scale (r^2)^power G over the
+    layers, in Fractions, G the layer's criterion orbit sum."""
+    residuals = {}
+    for sums, scale, eq_ids in _EQUATIONS.values():
+        if max(sums) > cfg.n:
+            continue
+        terms = [
+            (layer.weight * (layer.r_squared / layer.k) ** scale * _grouped_sum(sums, cfg.n, layer.k), layer.r_squared)
+            for layer in cfg.layers
+        ]
+        for power, eq in enumerate(eq_ids):
+            residuals[eq] = sum((term * r2**power for term, r2 in terms), Fraction(0))
+    return residuals
+
+
+@lru_cache(maxsize=None)
+def _unit_sphere_average(n: int, parts: tuple[int, ...]) -> Fraction:
+    return sphere_average_gamma_oracle(n, parts + (0,) * (n - len(parts)), 1)
+
+
+def reference_monomial_residual(cfg: DesignConfig, exponents) -> Fraction:
+    """``monomial_residual`` as sum w (r^2/k)^h S - sum w |O| (r^2)^h A over the
+    layers, h half the degree, S the orbit sum by brute force and A the unit-sphere
+    average by the gamma-function identity."""
+    half = sum(exponents) // 2
+    average = _unit_sphere_average(cfg.n, tuple(sorted(e for e in exponents if e)))
+    return sum(
+        (
+            layer.weight * (layer.r_squared / layer.k) ** half * enumerated_monomial_sum(cfg.n, layer.k, exponents)
+            - layer.weight * orbit_size(cfg.n, layer.k) * layer.r_squared**half * average
+            for layer in cfg.layers
+        ),
+        Fraction(0),
+    )
 
 
 # -- exact linear algebra and an explicit point-set residual -------------
@@ -750,3 +795,61 @@ def uniform_spherical_strength(n: int, J) -> int:
 
     cfg = make_config(n, [(k, 1, 1) for k in J])
     return classify(cfg).strength
+
+
+# -- the classify / oracle golden file ----------------------------------------
+#
+# One line per configuration of a fixed, seeded set: the configuration, its
+# classify JSON and the first_failure(cfg, 9) witness (or the OrbitSizeError
+# that refuses it).  `PYTHONPATH=src python tests/helpers.py` rewrites the file;
+# test_strength.py::test_classify_and_oracle_match_golden_file compares against it.
+
+STRENGTH_GOLDEN = Path(__file__).parent / "data" / "strength_golden.txt"
+
+
+def three_digit_layers(rng: random.Random, ks) -> list[tuple[int, Fraction, Fraction]]:
+    """Layers on ks with random squared radii and weights at 3-digit denominators."""
+    return [(k, Fraction(rng.randint(1, 999), rng.randint(100, 999)), Fraction(rng.randint(1, 999), rng.randint(100, 999))) for k in ks]
+
+
+def strength_golden_configs() -> list[DesignConfig]:
+    from hyperoct.solver import solve_t5, solve_t7
+    from hyperoct.tight import tight_5_3d, tight_7_3d, tight_7_4d
+
+    configs = random_configs(40, seed=2018) + list(PAPER_TABLE_N4_ERRATA_WITNESSES.values())
+    for n in range(3, 15):
+        for k1 in range(1, n + 1):
+            for k2 in range(k1 + 1, n + 1):
+                if g_function(n, k1, k2) == 0:
+                    configs += [solve_t7(n, (k1, k2), {k1: r2, k2: r2}).solution for r2 in (1, Fraction(7, 3))]
+    configs += [solve_t5(n, (1, n), {1: 2, n: Fraction(1, 3)}).solution for n in range(3, 9)]
+    for family in (tight_5_3d, tight_7_3d, tight_7_4d):
+        configs += [family(1, 2), family(Fraction(3, 4), Fraction(8, 3), Fraction(2, 7))]
+    rng = random.Random(2018)
+    for n in (7, 9, 12, 16, 40):
+        configs += [make_config(n, three_digit_layers(rng, rng.sample(range(1, n + 1), size))) for size in (1, 3, 5)]
+    return configs
+
+
+def _golden_witness(cfg: DesignConfig) -> str:
+    try:
+        failure = first_failure(cfg, 9)
+    except OrbitSizeError as exc:
+        return f"OrbitSizeError: {exc}"
+    if failure is None:
+        return "none"
+    return f"degree={failure.degree} exponents={','.join(map(str, failure.exponents))} residual={failure.residual}"
+
+
+def strength_golden_text() -> str:
+    from hyperoct.strength import classify
+
+    return "".join(
+        f"{json.dumps(cfg.to_json_dict(), separators=(',', ':'))}\t"
+        f"{json.dumps(classify(cfg).to_json_dict(), separators=(',', ':'))}\t{_golden_witness(cfg)}\n"
+        for cfg in strength_golden_configs()
+    )
+
+
+if __name__ == "__main__":
+    STRENGTH_GOLDEN.write_text(strength_golden_text())

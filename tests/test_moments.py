@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from helpers import (
     enumerated_monomial_sum,
     random_configs,
     reference_first_failure,
+    reference_monomial_residual,
     residual_rational_points,
     sphere_average_gamma_oracle,
+    three_digit_layers,
 )
 from hyperoct import moments, orbit
 from hyperoct.harmonic import criterion_f42, embed
@@ -130,6 +133,18 @@ def test_orbit_sums_agree_with_a_sum_over_the_orbit_points():
                         assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
     finally:
         orbit.orbit_tuples.cache_clear()
+
+
+def test_monomial_residual_matches_enumeration_and_the_gamma_oracle():
+    # monomial_residual sums its layer terms in integers; the reference sums, in
+    # Fractions, brute-force orbit sums minus the gamma-function sphere side
+    configs = [cfg for cfg in random_configs() if cfg.n <= 5 and len(cfg.layers) > 1][:4]
+    rng = random.Random(18)
+    configs += [make_config(n, three_digit_layers(rng, rng.sample(range(1, n + 1), rng.randint(2, n)))) for n in (3, 4, 5)]
+    for cfg in configs:
+        for degree in range(9):
+            for exponents in monomials_of_degree(cfg.n, degree):
+                assert monomial_residual(cfg, exponents) == reference_monomial_residual(cfg, exponents), (cfg, exponents)
 
 
 @pytest.mark.parametrize("exps", [(1, 1), (3, 0, 1), (2, 2)])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from helpers import matrix_rank, nullspace, rref
 from hyperoct.moments import sphere_monomial_average
-from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational
+from hyperoct.numeric import as_rational, binomial, double_factorial, format_rational, fraction_sum
 from hyperoct.orbit import make_config
 from hyperoct.poly import Polynomial, gegenbauer
 from hyperoct.solver import solve_radius_Q, solve_t5
@@ -149,3 +149,23 @@ def test_rref_empty_and_zero_matrices():
     assert rref(zeros, 3) == (zeros, [])
     assert matrix_rank(zeros) == 0
     assert len(nullspace(zeros, 3)) == 3
+
+
+def test_fraction_sum_of_nothing_is_zero():
+    assert fraction_sum([]) == 0 and type(fraction_sum([])) is Fraction
+
+
+def test_fraction_sum_equals_the_fraction_sum_reduced():
+    rng = random.Random(18)
+    for _ in range(300):
+        pairs = [(rng.randint(-10**6, 10**6), rng.choice((1, 2, 6, rng.randint(1, 10**4)))) for _ in range(rng.randint(1, 12))]
+        total = fraction_sum(pairs)
+        assert total == sum((Fraction(num, den) for num, den in pairs), Fraction(0))
+        assert math.gcd(total.numerator, total.denominator) == 1 and total.denominator > 0
+    assert fraction_sum([(1, 6), (1, 3), (1, 2)]) == 1
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_fraction_sum_refuses_a_denominator_that_is_not_positive(den):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        fraction_sum([(1, 2), (1, den)])

@@ -1,14 +1,20 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    PAPER_TABLE_N4_ERRATA_WITNESSES,
+    STRENGTH_GOLDEN,
     design_residual,
     enumerated_layer_sum,
     enumerated_monomial_sum,
+    random_configs,
+    reference_classify_residuals,
     reference_property_g,
     squared_radius_polynomial,
+    strength_golden_text,
 )
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
@@ -255,3 +261,53 @@ class TestClassifierMatchesDefinition:
         assert design_residual(cfg, r2poly * f63) == report.residuals["f63_s1"]
         assert design_residual(cfg, f82) == report.residuals["f82"]
         assert design_residual(cfg, f84) == report.residuals["f84"]
+
+
+def _wide_config(n: int, seed: int):
+    """Every k = 1..n a layer, r^2 and w drawn at 3-digit denominators: the r^2
+    denominators are distinct over each run of 900 layers, and no two layers share
+    both, so the residual denominators grow as far as they can."""
+    rng = random.Random(seed)
+    r2_dens = rng.sample(range(100, 1000), 900)
+    pairs, layers = set(), []
+    for k in range(1, n + 1):
+        q = r2_dens[(k - 1) % 900]
+        b = rng.randint(100, 999)
+        while (q, b) in pairs:
+            b = rng.randint(100, 999)
+        pairs.add((q, b))
+        layers.append((k, Fraction(rng.randint(1, 999), q), Fraction(rng.randint(1, 999), b)))
+    return make_config(n, layers)
+
+
+class TestIntegerResiduals:
+    """classify sums each residual in integers and reduces it once; every residual
+    equals the term-by-term Fraction sum it replaced."""
+
+    @staticmethod
+    def _assert_reference(cfg):
+        residuals = classify(cfg).residuals
+        assert list(residuals.items()) == list(reference_classify_residuals(cfg).items())
+        assert all(type(v) is Fraction for v in residuals.values())
+
+    def test_random_errata_and_property_g_configs(self):
+        designs = [
+            solve_t7(n, (k1, k2), {k1: 1, k2: 1}).solution
+            for n in range(3, 15)
+            for k1 in range(1, n + 1)
+            for k2 in range(k1 + 1, n + 1)
+            if g_function(n, k1, k2) == 0
+        ]
+        assert len(designs) == 8 and all(classify(d).strength == 7 for d in designs)
+        for cfg in [*random_configs(), *PAPER_TABLE_N4_ERRATA_WITNESSES.values(), *designs]:
+            self._assert_reference(cfg)
+
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    def test_wide_configs_at_distinct_denominators(self, n):
+        self._assert_reference(_wide_config(n, seed=n))
+
+
+def test_classify_and_oracle_match_golden_file():
+    # the file was written by helpers.strength_golden_text() before classify and the
+    # oracle summed their residuals in integers
+    assert strength_golden_text() == STRENGTH_GOLDEN.read_text()
