@@ -89,8 +89,7 @@ def _cmd_orbit(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    cfg = _load_config(args.config)
-    failure = first_failure(cfg, args.t)
+    failure = first_failure(args.config, args.t)
     data = {
         "t": args.t,
         "is_design": failure is None,
@@ -107,8 +106,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_classify(args) -> tuple[int, dict, list[str]]:
-    cfg = _load_config(args.config)
-    report = classify(cfg)
+    report = classify(args.config)
     lines = [f"strength = {report.strength}"]
     lines += [f"  {eq} = {format_rational(v)}" for eq, v in report.residuals.items()]
     return 0, report.to_json_dict(), lines
@@ -255,7 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the interpreter's limit on int-string conversion guards the parsing of every input, the
+    # config file included, but not the exact answer; an in-process caller keeps its setting
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if "config" in args:
+            args.config = _load_config(args.config)
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(0)
         code, data, lines = args.func(args)
         # printed inside the try, so a failed write (a closed pipe) also exits 2 with one error line
         print("\n".join(lines) if args.pretty else json.dumps(data, indent=2))
@@ -263,6 +268,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entrypoint() -> None:

@@ -13,8 +13,10 @@ so it is evaluated at one point per sign class, the 0/1 point of each of
 the C(n, k) supports (see ``_orbit_monomial_sum``).  The scan tests one
 monomial per permutation class (see ``first_failure``).  No counting
 formula is used, which keeps this oracle independent of the closed forms
-in ``strength``.  Each residual is summed in integers over the layers and
-reduced once (see ``monomial_residual``).
+in ``strength``.  Both sides of a residual are read at the partition of the
+exponents, their sorted nonzero entries, the orbit sums through one cache
+keyed by it, and are summed in integers over the layers and reduced once
+(see ``monomial_residual``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from .numeric import as_rational, double_factorial, fraction_sum
 from .orbit import DesignConfig, check_orbit, orbit_size
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _unit_sphere_average(n: int, exponents: Sequence[int]) -> tuple[int, int]:
+    """Average of x^alpha over the unit sphere, for even exponents, as an
+    unreduced pair prod (a_i - 1)!! and prod_{j<|alpha|/2} (n + 2j)."""
+    return (
+        math.prod(double_factorial(e - 1) for e in exponents),
+        math.prod(range(n, n + sum(exponents), 2)),
+    )
 
 
 def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Fraction:
@@ -50,46 +60,28 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
         raise ValueError("exponents must be non-negative")
     if any(e % 2 for e in exponents):
         return _ZERO
-    total = sum(exponents)
-    half = total // 2
-    numerator = 1
-    for e in exponents:
-        numerator *= double_factorial(e - 1)
-    denominator = 1
-    for j in range(half):
-        denominator *= n + 2 * j
-    return r_squared**half * Fraction(numerator, denominator)
+    return r_squared ** (sum(exponents) // 2) * Fraction(*_unit_sphere_average(n, exponents))
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=4096)
 def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
-    """Sum of x^alpha over the unscaled orbit points.
+    """Sum of x^alpha over the unscaled orbit points, checked against the caps first.
 
     Flipping the sign of a coordinate with an odd exponent maps the orbit
-    onto itself and negates x^alpha, so the sum is 0.  Otherwise the sum
-    is invariant under permuting the exponents and is evaluated once per
-    partition.  The orbit is checked against the caps before either step.
+    onto itself and negates x^alpha, so the sum is 0.  Otherwise the 2^k sign
+    flips of a point give the same value: the sum is 2^k times the sum at the
+    0/1 point of each of the C(n, k) supports.  Permuting the exponents, or
+    dropping trailing zeros, leaves the sum unchanged.
     """
     check_orbit(n, k)
     if any(e % 2 for e in exponents):
         return 0
-    return _orbit_partition_sum(n, k, tuple(sorted(e for e in exponents if e)))
-
-
-@lru_cache(maxsize=4096)
-def _orbit_partition_sum(n: int, k: int, parts: tuple[int, ...]) -> int:
-    """Sum of prod_i x_i^parts[i] over the unscaled orbit points, for even parts.
-
-    Every part is even, so the 2^k sign flips of a point give the same value:
-    the sum is 2^k times the sum over the sign classes, evaluated at the 0/1
-    point of each of the C(n, k) supports.
-    """
     total = 0
     for support in itertools.combinations(range(n), k):
         point = [0] * n
         for idx in support:
             point[idx] = 1
-        total += math.prod(map(pow, point, parts))
+        total += math.prod(map(pow, point, exponents))
     return 2**k * total
 
 
@@ -111,14 +103,15 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     if degree % 2:
         return _ZERO
     n, half = cfg.n, degree // 2
+    parts = tuple(sorted(e for e in exponents if e))
     # every orbit is checked against the caps before the odd-exponent shortcut
-    sums = [_orbit_monomial_sum(n, layer.k, exponents) for layer in cfg.layers]
-    if any(e % 2 for e in exponents):
+    sums = [_orbit_monomial_sum(n, layer.k, parts) for layer in cfg.layers]
+    if any(e % 2 for e in parts):
         return _ZERO
     # the sphere average scales as (r^2)^half, so one unit-sphere average sn/sd serves
     # every layer: w (r^2/k)^half S - w |O| (r^2)^half sn/sd with r^2 = p/q and w = a/b
     # is a p^half (S sd - |O| k^half sn) / (b q^half k^half sd)
-    sn, sd = sphere_monomial_average(n, exponents, _ONE).as_integer_ratio()
+    sn, sd = _unit_sphere_average(n, parts)
     return fraction_sum(
         (
             layer.weight.numerator * layer.r_squared.numerator**half * (s * sd - orbit_size(n, layer.k) * layer.k**half * sn),

@@ -152,11 +152,9 @@ class Polynomial:
         if not self.terms:
             return "0"
 
+        # no sparse monomial is a prefix of another of its degree: this is the dense order
         def sort_key(mono: Monomial):
-            dense = [0] * self.nvars
-            for v, e in mono:
-                dense[v - 1] = e
-            return (-mono_degree(mono), [-e for e in dense])
+            return (-mono_degree(mono), [(v, -e) for v, e in mono])
 
         pieces = []
         for mono in sorted(self.terms, key=sort_key):

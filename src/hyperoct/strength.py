@@ -134,13 +134,12 @@ class StrengthReport:
 
     strength: int
     residuals: dict[str, Fraction]
-    method: str = "closed-form"
     nine_design_obstruction: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "strength": self.strength,
-            "method": self.method,
+            "method": "closed-form",
             "residuals": {k: format_rational(v) for k, v in self.residuals.items()},
             "nine_design_obstruction": self.nine_design_obstruction,
         }
@@ -179,6 +178,5 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     return StrengthReport(
         strength=strength,
         residuals=residuals,
-        method="closed-form",
         nine_design_obstruction=obstruction,
     )

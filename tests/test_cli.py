@@ -129,17 +129,20 @@ class TestVerifyAndClassify:
         (json.dumps({"n": 10**5, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "3"]),
         (None, ["orbit", "--n", str(10**5), "--k", "1"]),
         (None, ["property-g", "--max", str(10**6)]),
+        ('{"n": ' + "1" * 5000 + ', "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}', ["classify", "--config", "{path}"]),
     ],
     ids=[
         "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20",
         "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1", "property-g-max-1e6",
+        "config-n-5000-digits",
     ],
 )
 def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
     # json.load's RecursionError, an n too large for [0] * n, two orbit indices whose 2^k would
     # not fit in memory, an n too large to scan, a criterion basis of about 4.2e10 embedded
     # polynomials, two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
-    # coordinates would not fit in memory, and a property-G scan quadratic in its --max
+    # coordinates would not fit in memory, a property-G scan quadratic in its --max, and an
+    # integer past the interpreter's limit on int-string conversion
     path = tmp_path / "config.json"
     if config is not None:
         path.write_text(config)
@@ -162,6 +165,21 @@ def test_failed_write_is_usage_error(capsys, monkeypatch, pretty):
 
 
 class TestSolve:
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_answer_longer_than_the_digit_limit(self, capsys, pretty):
+        # a_1 > 0 > a_5000, so the system is feasible; the weight of I^10000_5000 has a
+        # denominator of more than 4,300 digits, the interpreter's default limit on
+        # int-string conversion, which the command lifts for its answer and then restores
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *pretty, "solve", "--n", "10000", "--J", "1,5000", "--t", "5")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        if pretty:
+            weight = out.splitlines()[-1].split("w=")[1]
+        else:
+            weight = json.loads(out)["solution"]["layers"][1]["weight"]
+        assert len(weight.split("/")[1]) > 4300
+
     def test_feasible(self, capsys):
         code, data = run_json(
             capsys, "solve", "--n", "3", "--J", "1,3", "--t", "5", "--r2", "1=1,3=1"

@@ -147,6 +147,17 @@ def test_monomial_residual_matches_enumeration_and_the_gamma_oracle():
                 assert monomial_residual(cfg, exponents) == reference_monomial_residual(cfg, exponents), (cfg, exponents)
 
 
+@pytest.mark.parametrize("exps", [(4, 2, 2, 0), (3, 1, 2, 0)])
+def test_every_permutation_of_a_monomial_shares_one_kernel_entry_per_layer(exps):
+    # both sides of a residual are read at the partition of the exponents, so the
+    # kernel cache holds one entry per layer however the exponents are ordered
+    cfg = make_config(4, [(1, 1, 1), (3, 1, Fraction(3, 4))])
+    moments._orbit_monomial_sum.cache_clear()
+    residuals = {monomial_residual(cfg, perm) for perm in set(itertools.permutations(exps))}
+    assert len(residuals) == 1
+    assert moments._orbit_monomial_sum.cache_info().currsize == len(cfg.layers)
+
+
 @pytest.mark.parametrize("exps", [(1, 1), (3, 0, 1), (2, 2)])
 def test_over_cap_orbit_raises_before_any_shortcut(exps):
     # I^20_10 has 2^10 * C(20, 10) = 189,190,144 points
@@ -222,7 +233,6 @@ class TestStrengthOracle:
         assert not hasattr(moments, "orbit_tuples")
         monkeypatch.setattr(orbit, "orbit_tuples", refuse)
         moments._orbit_monomial_sum.cache_clear()
-        moments._orbit_partition_sum.cache_clear()
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
