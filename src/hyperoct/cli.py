@@ -3,6 +3,10 @@
 JSON is the machine output format; --pretty renders small human tables.
 Exit codes: 0 success, 1 when a verification or feasibility answer is
 negative, 2 for usage or parse errors.
+
+Each command imports the modules it runs when it runs, so a command that
+needs no polynomial (every one but ``basis``) never loads ``harmonic`` or
+``poly``, and only ``verify``, ``tight`` and ``fisher`` load ``moments``.
 """
 
 from __future__ import annotations
@@ -12,18 +16,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .harmonic import criterion_basis, full_basis, fully_even_subset
-from .moments import first_failure
 from .numeric import as_rational, format_rational
 from .orbit import ConfigError, DesignConfig, orbit_size, orbit_tuples
-from .solver import solve_t5, solve_t7, tau_table
-from .strength import classify, property_g
-from .tight import fisher_bound, tight_5_3d, tight_7_3d, tight_7_4d, tightness_certificate
 
 # The largest `property-g --max`: the command runs the O(n) `property_g` scan for every
 # n up to it, so its time grows quadratically (0.2 s in process at 4,000 and 2.9 s at
 # 16,000 on Python 3.11, one Xeon core).
 PROPERTY_G_MAX = 4000
+# The largest `fisher` --n, --p and --t: the bound sums up to p binomials of about t/2 + n
+# choose n - 1, so its time grows with all three (0.4 s in process at n = p = t = 4,000 and
+# 5.1 s at 10,000 on Python 3.11, one Xeon core).
+FISHER_MAX = 4000
 
 
 def _rational(text: str) -> Fraction:
@@ -89,6 +92,8 @@ def _cmd_orbit(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+    from .moments import first_failure
+
     failure = first_failure(args.config, args.t)
     data = {
         "t": args.t,
@@ -106,6 +111,8 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_classify(args) -> tuple[int, dict, list[str]]:
+    from .strength import classify
+
     report = classify(args.config)
     lines = [f"strength = {report.strength}"]
     lines += [f"  {eq} = {format_rational(v)}" for eq, v in report.residuals.items()]
@@ -113,6 +120,8 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_solve(args) -> tuple[int, dict, list[str]]:
+    from .solver import solve_t5, solve_t7
+
     result = (solve_t5 if args.t == 5 else solve_t7)(args.n, args.J, args.r2)
     lines = [f"feasible: {result.feasible} ({result.reason})"]
     if result.solution:
@@ -126,6 +135,8 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
 def _cmd_property_g(args) -> tuple[int, dict, list[str]]:
     if args.max > PROPERTY_G_MAX:
         raise ValueError(f"--max {args.max} is above the cap {PROPERTY_G_MAX}")
+    from .strength import property_g
+
     values = []
     witnesses = {}
     for n in range(1, args.max + 1):
@@ -138,16 +149,24 @@ def _cmd_property_g(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_fisher(args) -> tuple[int, dict, list[str]]:
+    for option, value in (("--n", args.n), ("--p", args.p), ("--t", args.t)):
+        if value > FISHER_MAX:
+            raise ValueError(f"{option} {value} is above the cap {FISHER_MAX}")
+    from .tight import fisher_bound
+
     bound = fisher_bound(args.n, args.p, args.t)
     return 0, bound.to_json_dict(), [f"N({args.n},{args.p},{args.t}) = {bound.value}"]
 
 
-_FAMILIES = {"5-3d": tight_5_3d, "7-3d": tight_7_3d, "7-4d": tight_7_4d}
+# each family's constructor, by name: ``tight`` is imported only when the command runs
+_FAMILIES = {"5-3d": "tight_5_3d", "7-3d": "tight_7_3d", "7-4d": "tight_7_4d"}
 
 
 def _cmd_tight(args) -> tuple[int, dict, list[str]]:
-    cfg = _FAMILIES[args.family](args.r2, args.rho2, args.w)
-    certificate = tightness_certificate(cfg)
+    from . import tight
+
+    cfg = getattr(tight, _FAMILIES[args.family])(args.r2, args.rho2, args.w)
+    certificate = tight.tightness_certificate(cfg)
     lines = [
         f"family {args.family}: size {certificate['size']}, "
         f"strength {certificate['strength_report']['strength']}, "
@@ -158,12 +177,16 @@ def _cmd_tight(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_tau(args) -> tuple[int, dict, list[str]]:
+    from .solver import tau_table
+
     table = tau_table(args.n)
     data = {"n": args.n, "tau": {f"p={p},j={j}": v for (p, j), v in sorted(table.items())}}
     return 0, data, [f"tau(p={p}, j={j}) = {v}" for (p, j), v in sorted(table.items())]
 
 
 def _cmd_basis(args) -> tuple[int, dict, list[str]]:
+    from .harmonic import criterion_basis, full_basis, fully_even_subset
+
     if args.criterion:
         basis = criterion_basis(args.n, args.s)
         polys = list(basis.elements)

@@ -159,24 +159,17 @@ class Polynomial:
         pieces = []
         for mono in sorted(self.terms, key=sort_key):
             coeff = self.terms[mono]
-            factors = []
-            for v, e in mono:
-                factors.append(f"x{v}" if e == 1 else f"x{v}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
+            num, den = coeff.numerator, coeff.denominator
+            pieces.append("-" if num < 0 else "+")
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = "*".join([f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in mono])
             if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
+                pieces.append(mag)
+            elif mag == "1":
+                pieces.append(body)
             else:
-                text = f"{mag}*{body}"
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, text))
-        first_sign, first_text = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_text
-        for sign, text in pieces[1:]:
-            out += f"{sign}{text}"
-        return out
+                pieces.append(f"{mag}*{body}")
+        return "".join(pieces).removeprefix("+")
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.canonical_str()})"

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84
 from .numeric import binomial, format_rational, fraction_sum
 from .orbit import DesignConfig, orbit_index
-from .poly import Polynomial
+
+if TYPE_CHECKING:
+    from .poly import Polynomial
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
@@ -92,15 +94,16 @@ def _reduced_sum(sums: dict[int, int], n: int, k: int) -> int:
     return sum(c * math.perm(k - 1, m - 1) * math.perm(n - m, top - m) for m, c in sums.items())
 
 
-# The defining equations in canonical order: each criterion's support sums (integers,
-# grouped once, so a layer sum costs what a closed form did), the power of r^2/k that
-# scales them, and its residual ids, the i-th of which also weights each layer by
-# (r^2)^i.  A criterion whose largest support exceeds n has no embedding (f84, n = 3).
+# The defining equations in canonical order: each criterion's support sums, the power of
+# r^2/k that scales them, and its residual ids, the i-th of which also weights each layer
+# by (r^2)^i.  The sums are ``_support_sums`` of ``harmonic.criterion_f42`` .. ``_f84``,
+# written out so that importing this module builds no polynomial (a test recomputes them).
+# A criterion whose largest support exceeds n has no embedding (f84, n = 3).
 _EQUATIONS = {
-    "f42": (_support_sums(criterion_f42()), 2, ("f42_s0", "f42_s1", "f42_s2")),
-    "f63": (_support_sums(criterion_f63()), 3, ("f63_s0", "f63_s1")),
-    "f82": (_support_sums(criterion_f82()), 4, ("f82",)),
-    "f84": (_support_sums(criterion_f84()), 4, ("f84",)),
+    "f42": ({1: 2, 2: -6}, 2, ("f42_s0", "f42_s1", "f42_s2")),
+    "f63": ({1: 6, 2: -90, 3: 180}, 3, ("f63_s0", "f63_s1")),
+    "f82": ({1: 2, 2: 14}, 4, ("f82",)),
+    "f84": ({1: 12, 2: -336, 3: 2520, 4: -3780}, 4, ("f84",)),
 }
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 EQ_IDS_T9 = tuple(eq for _, _, eq_ids in _EQUATIONS.values() for eq in eq_ids)

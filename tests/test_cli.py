@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import MALFORMED_CONFIGS
-from hyperoct.cli import PROPERTY_G_MAX, main
+from hyperoct.cli import FISHER_MAX, PROPERTY_G_MAX, main
 from hyperoct.orbit import DesignConfig, make_config
-from hyperoct.tight import tight_5_3d
+from hyperoct.tight import fisher_bound, tight_5_3d
 
 
 def run(capsys, *argv):
@@ -36,6 +36,16 @@ class TestFisher:
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "--pretty", "fisher", "--n", "4", "--p", "2", "--t", "7")
         assert code == 0 and "48" in out
+
+    def test_cap(self, capsys):
+        # the largest accepted --n, --p and --t compute; one more on any of them is refused
+        # before the bound is computed
+        code, data = run_json(capsys, "fisher", "--n", str(FISHER_MAX), "--p", "2", "--t", str(FISHER_MAX))
+        assert code == 0 and data["value"] == fisher_bound(FISHER_MAX, 2, FISHER_MAX).value
+        for option in ("--n", "--p", "--t"):
+            argv = {"--n": "3", "--p": "2", "--t": "5", option: str(FISHER_MAX + 1)}
+            code, out, err = run(capsys, "fisher", *(item for pair in argv.items() for item in pair))
+            assert code == 2 and out == "" and f"{option} {FISHER_MAX + 1}" in err
 
 
 class TestPropertyG:
@@ -129,20 +139,23 @@ class TestVerifyAndClassify:
         (json.dumps({"n": 10**5, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "3"]),
         (None, ["orbit", "--n", str(10**5), "--k", "1"]),
         (None, ["property-g", "--max", str(10**6)]),
+        (None, ["fisher", "--n", str(10**6), "--p", "1", "--t", str(10**6)]),
+        (None, ["fisher", "--n", "3", "--p", str(10**9), "--t", "5"]),
         ('{"n": ' + "1" * 5000 + ', "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}', ["classify", "--config", "{path}"]),
     ],
     ids=[
         "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20",
         "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1", "property-g-max-1e6",
-        "config-n-5000-digits",
+        "fisher-n-t-1e6", "fisher-p-1e9", "config-n-5000-digits",
     ],
 )
 def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
     # json.load's RecursionError, an n too large for [0] * n, two orbit indices whose 2^k would
     # not fit in memory, an n too large to scan, a criterion basis of about 4.2e10 embedded
     # polynomials, two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
-    # coordinates would not fit in memory, a property-G scan quadratic in its --max, and an
-    # integer past the interpreter's limit on int-string conversion
+    # coordinates would not fit in memory, a property-G scan quadratic in its --max, a Fisher
+    # bound whose binomials grow with --n, --p and --t, and an integer past the interpreter's
+    # limit on int-string conversion
     path = tmp_path / "config.json"
     if config is not None:
         path.write_text(config)

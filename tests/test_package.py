@@ -1,14 +1,21 @@
 """Guards on the package as a whole: standard-library imports only, no unused import,
-a pinned export list, and no public name that only the tests reach."""
+a pinned export list, the modules each CLI command loads, and no public name that only
+the tests reach."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 import types
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import hyperoct
+from hyperoct.orbit import make_config
 
 SOURCE = Path(hyperoct.__file__).parent
 
@@ -59,12 +66,63 @@ def test_every_import_is_used():
 
 
 def test_export_list_is_pinned():
-    # adding or removing a public name is deliberate: update this list and the README
-    exported = sorted(
-        name for name, value in vars(hyperoct).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    # adding or removing a public name is deliberate: update this list and the README.  The
+    # package root loads each name on first use, from the submodule its table names
+    assert sorted(hyperoct.__all__) == EXPORTS
+    assert set(dir(hyperoct)) >= set(EXPORTS)
+    for name in EXPORTS:
+        value = getattr(hyperoct, name)
+        assert not isinstance(value, types.ModuleType)
+        assert value.__module__ == f"hyperoct.{hyperoct._MODULE_OF[name]}"
+    with pytest.raises(AttributeError):
+        hyperoct.no_such_name
+
+
+# The hyperoct modules each documented CLI command loads, beyond the package root, cli,
+# numeric and orbit; start-up is paid in every fresh interpreter, so a new eager import
+# has to change this table
+COMMAND_MODULES = {
+    ("orbit", "--n", "4", "--k", "2"): set(),
+    ("classify", "--config", "{path}"): {"strength"},
+    ("property-g", "--max", "50"): {"strength"},
+    ("tau", "--n", "10"): {"solver", "strength"},
+    ("solve", "--n", "5", "--J", "1,3", "--t", "5"): {"solver", "strength"},
+    ("solve", "--n", "5", "--J", "1,2,4", "--t", "7"): {"solver", "strength"},
+    ("verify", "--config", "{path}", "--t", "5"): {"moments"},
+    ("fisher", "--n", "3", "--p", "2", "--t", "5"): {"moments", "solver", "strength", "tight"},
+    ("tight", "--family", "5-3d", "--r2", "1", "--rho2", "2"): {"moments", "solver", "strength", "tight"},
+    ("basis", "--n", "3", "--s", "4"): {"harmonic", "poly"},
+}
+_LOADED = "sorted(m for m in sys.modules if m.startswith('hyperoct'))"
+
+
+def _fresh_interpreter(code: str, *argv: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert exported == EXPORTS
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_of_the_package_loads_no_submodule():
+    assert _fresh_interpreter(f"import json, sys, hyperoct; print(json.dumps({_LOADED}))") == ["hyperoct"]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(make_config(3, [(1, 1, 1), (3, 2, 1)]).to_json())
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hyperoct.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code = main(sys.argv[1:])\n"
+        f"print(json.dumps([exit_code, {_LOADED}]))"
+    )
+    base = {"hyperoct", "hyperoct.cli", "hyperoct.numeric", "hyperoct.orbit"}
+    for argv, modules in COMMAND_MODULES.items():
+        exit_code, loaded = _fresh_interpreter(code, *(arg.format(path=path) for arg in argv))
+        assert exit_code in (0, 1), argv
+        assert set(loaded) == base | {f"hyperoct.{m}" for m in modules}, argv
 
 
 def _referenced_names(node) -> Counter:

@@ -23,6 +23,8 @@ from hyperoct.orbit import make_config
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
 from hyperoct.strength import (
+    _EQUATIONS,
+    _support_sums,
     classify,
     g_function,
     layer_sum_f42,
@@ -83,6 +85,13 @@ class TestPropertyG:
 
 
 class TestLayerSums:
+    @pytest.mark.parametrize("eq, criterion", [
+        ("f42", criterion_f42), ("f63", criterion_f63), ("f82", criterion_f82), ("f84", criterion_f84),
+    ])
+    def test_support_sum_tables_are_those_of_the_criteria(self, eq, criterion):
+        # strength writes the tables out as literals, so its import builds no polynomial
+        assert _EQUATIONS[eq][0] == _support_sums(criterion())
+
     def test_frozen_values(self):
         assert layer_sum_f42(3, 1) == 4
         assert layer_sum_f42(3, 3) == -32
