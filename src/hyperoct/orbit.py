@@ -14,7 +14,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .numeric import as_rational, binomial, format_rational
 
@@ -57,9 +56,9 @@ def orbit_index(k) -> int:
 
 
 def check_orbit(n: int, k: int) -> None:
-    """Raise unless 1 <= k <= n, the orbit has at most POINT_CAP points and its
-    points hold at most COORDINATE_CAP integers."""
-    if not 1 <= k <= n:
+    """Raise unless k is an orbit index with 1 <= k <= n, the orbit has at most
+    POINT_CAP points and its points hold at most COORDINATE_CAP integers."""
+    if not 1 <= orbit_index(k) <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k >= POINT_CAP.bit_length():
         # 2^k alone is over the cap, and for a large enough k it would not fit in memory
@@ -71,7 +70,6 @@ def check_orbit(n: int, k: int) -> None:
         raise OrbitSizeError(f"orbit has {size} points of {n} coordinates, cap is {COORDINATE_CAP} coordinates")
 
 
-@lru_cache(maxsize=256)
 def orbit_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All orbit points as coordinate tuples, deterministic order."""
     check_orbit(n, k)

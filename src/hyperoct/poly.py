@@ -13,7 +13,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .numeric import as_rational
@@ -217,8 +216,6 @@ class GegenbauerPoly:
     coefficients: tuple[Fraction, ...]
 
 
-# typed, so that a bool or a float alpha misses an int's cache entry and is refused
-@lru_cache(maxsize=None, typed=True)
 def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
     """Degree-s Gegenbauer polynomial, scaled as by the Rodrigues formula
     (-1)^s / (2^s s!) (1-x^2)^(1/2-alpha) d^s/dx^s (1-x^2)^(alpha+s-1/2).

@@ -135,6 +135,7 @@ class TestVerifyAndClassify:
         (json.dumps({"n": 10**20, "layers": [{"k": 10**20, "r_squared": "1", "weight": "1"}]}), ["classify", "--config", "{path}"]),
         (None, ["orbit", "--n", str(10**20), "--k", str(10**20), "--count-only"]),
         (None, ["tau", "--n", str(10**20)]),
+        (None, ["tau", "--n", str(10**12)]),
         (None, ["basis", "--n", "1000", "--s", "8", "--criterion"]),
         (json.dumps({"n": 10**5, "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}), ["verify", "--config", "{path}", "--t", "3"]),
         (None, ["orbit", "--n", str(10**5), "--k", "1"]),
@@ -144,14 +145,14 @@ class TestVerifyAndClassify:
         ('{"n": ' + "1" * 5000 + ', "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}', ["classify", "--config", "{path}"]),
     ],
     ids=[
-        "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20",
+        "config-nested-100000-deep", "verify-n-1e20", "classify-k-1e20", "orbit-count-k-1e20", "tau-n-1e20", "tau-n-1e12",
         "basis-criterion-n-1000", "verify-n-1e5-k-1", "orbit-points-n-1e5-k-1", "property-g-max-1e6",
         "fisher-n-t-1e6", "fisher-p-1e9", "config-n-5000-digits",
     ],
 )
 def test_hostile_input_is_usage_error(capsys, tmp_path, config, argv):
     # json.load's RecursionError, an n too large for [0] * n, two orbit indices whose 2^k would
-    # not fit in memory, an n too large to scan, a criterion basis of about 4.2e10 embedded
+    # not fit in memory, an n too large to scan and one too slow to scan, a criterion basis of about 4.2e10 embedded
     # polynomials, two orbits of 2 * 10^5 points under the point cap whose 2 * 10^10
     # coordinates would not fit in memory, a property-G scan quadratic in its --max, a Fisher
     # bound whose binomials grow with --n, --p and --t, and an integer past the interpreter's

@@ -116,23 +116,20 @@ def test_orbit_sums_agree_with_a_sum_over_the_orbit_points():
     # and one monomial per partition of each even degree <= 10, its parts in increasing
     # order at the end; only those last m coordinates of a point matter, so the points are
     # summed grouped by them
-    try:
-        for n in range(7, 12):
-            for k in range(1, n + 1):
-                points = orbit.orbit_tuples(n, k)
-                grouped = {}
-                for degree in range(0, 11, 2):
-                    for parts in moments._partitions(degree, n, degree):
-                        m = len(parts)
-                        if m not in grouped:
-                            grouped[m] = Counter(point[n - m:] for point in points)
-                        exps = (0,) * (n - m) + parts[::-1]
-                        expected = sum(
-                            count * math.prod(map(pow, tail, parts[::-1])) for tail, count in grouped[m].items()
-                        )
-                        assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
-    finally:
-        orbit.orbit_tuples.cache_clear()
+    for n in range(7, 12):
+        for k in range(1, n + 1):
+            points = orbit.orbit_tuples(n, k)
+            grouped = {}
+            for degree in range(0, 11, 2):
+                for parts in moments._partitions(degree, n, degree):
+                    m = len(parts)
+                    if m not in grouped:
+                        grouped[m] = Counter(point[n - m:] for point in points)
+                    exps = (0,) * (n - m) + parts[::-1]
+                    expected = sum(
+                        count * math.prod(map(pow, tail, parts[::-1])) for tail, count in grouped[m].items()
+                    )
+                    assert _orbit_monomial_sum(n, k, exps) == expected, (n, k, exps)
 
 
 def test_monomial_residual_matches_enumeration_and_the_gamma_oracle():

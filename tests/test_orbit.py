@@ -133,6 +133,10 @@ class TestLayerValidation:
         # neither truncated nor coerced: 1.5 would otherwise build a config that classify cannot read
         with pytest.raises(ValueError, match="orbit index must be an int"):
             make_config(3, [(k, 1, 1)])
+        # nor let past by the enumeration once an int index has been enumerated
+        orbit_tuples(3, 1)
+        with pytest.raises(ValueError, match="orbit index must be an int"):
+            orbit_tuples(3, k)
 
     def test_orbit_index_above_the_cap_is_refused(self):
         # refused before 2^k is formed: at k = 10**20 that number alone would not fit in memory

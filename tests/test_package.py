@@ -1,8 +1,9 @@
 """Guards on the package as a whole: standard-library imports only, no unused import,
-a pinned export list, the modules each CLI command loads, and no public name that only
-the tests reach."""
+a pinned export list, the modules each CLI command loads, one process-wide cache, and
+no public name that only the tests reach."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -123,6 +124,22 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         exit_code, loaded = _fresh_interpreter(code, *(arg.format(path=path) for arg in argv))
         assert exit_code in (0, 1), argv
         assert set(loaded) == base | {f"hyperoct.{m}" for m in modules}, argv
+
+
+def test_one_process_wide_cache():
+    # a cache pins memory for the life of the process and can answer a call its gates
+    # would refuse; a new one has to be measured and then added here.  The package root
+    # only re-exports
+    cached = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"hyperoct.{path.stem}")
+        cached |= {
+            f"{value.__module__}.{value.__qualname__}"
+            for value in vars(module).values() if callable(value) and hasattr(value, "cache_info")
+        }
+    assert cached == {"hyperoct.moments._orbit_monomial_sum"}
 
 
 def _referenced_names(node) -> Counter:

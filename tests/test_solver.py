@@ -21,7 +21,7 @@ from helpers import (
     vanishes_identically,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
-from hyperoct import solver, strength
+from hyperoct import strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
@@ -343,17 +343,6 @@ class TestTau:
             assert table == reference_tau_table(n), n
             assert all(tau(n, p, j) == value for (p, j), value in table.items()), n
 
-    def test_only_j2_scans_property_g(self, monkeypatch):
-        # the O(n) scan decides only pairs on one sphere; tau(10**7 + 2, 1, 1) took 0.70 s with it
-        def refuse(n):
-            raise AssertionError("property_g scanned")
-
-        monkeypatch.setattr(solver, "property_g", refuse)
-        n = 10**7 + 2
-        assert [tau(n, p, j) for j in (1, 3) for p in range(1, j + 1)] == [3, 7, 5, 7]
-        with pytest.raises(AssertionError, match="property_g scanned"):
-            tau(n, 1, 2)
-
     def test_ten_million(self):
         n = 10**7
         assert n % 3 == 1 and property_g(n) is not None
@@ -371,7 +360,7 @@ class TestTau:
         with pytest.raises(ValueError):
             tau(3, 1, 4)
         # refused before any work: the property-G scan is linear in n
-        for n in (0, sys.maxsize + 1):
+        for n in (0, 10**7 + 1, sys.maxsize + 1):
             with pytest.raises(ValueError, match="need n"):
                 tau(n, 1, 1)
             with pytest.raises(ValueError, match="need n"):
