@@ -9,14 +9,15 @@ the polynomial space.
 Every layer is a complete hyperoctahedral orbit, so the orbit-sum kernel
 uses its sign-flip and permutation symmetry: an odd exponent gives 0, and
 an all-even monomial takes the same value at every sign flip of a point,
-so it is evaluated at one point per sign class, the 0/1 point of each of
-the C(n, k) supports (see ``_orbit_monomial_sum``).  The scan tests one
-monomial per permutation class (see ``first_failure``).  No counting
-formula is used, which keeps this oracle independent of the closed forms
-in ``strength``.  Both sides of a residual are read at the partition of the
-exponents, their sorted nonzero entries, the orbit sums through one cache
-keyed by it, and are summed in integers over the layers and reduced once
-(see ``monomial_residual``).
+so it is 2^k times its sum over the 0/1 points with k ones.  That sum is
+taken by a recurrence over the coordinates, evaluating each coordinate's
+factor at 0 and at 1, in O(n k) integer steps (see ``_orbit_monomial_sum``).
+The scan tests one monomial per permutation class (see ``first_failure``).
+No binomial and no counting formula is used, which keeps this oracle
+independent of the closed forms in ``strength``.  Both sides of a residual
+are read at the partition of the exponents, their sorted nonzero entries,
+the orbit sums through one cache keyed by it, and are summed in integers
+over the layers and reduced once (see ``monomial_residual``).
 """
 
 from __future__ import annotations
@@ -69,20 +70,25 @@ def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
 
     Flipping the sign of a coordinate with an odd exponent maps the orbit
     onto itself and negates x^alpha, so the sum is 0.  Otherwise the 2^k sign
-    flips of a point give the same value: the sum is 2^k times the sum at the
-    0/1 point of each of the C(n, k) supports.  Permuting the exponents, or
-    dropping trailing zeros, leaves the sum unchanged.
+    flips of a point give the same value: the sum is 2^k times the sum over
+    the 0/1 points with k ones.  That sum of products is regrouped one
+    coordinate at a time, evaluating each coordinate's factor at 0 and at 1,
+    in O(n k) integer steps.  Missing trailing exponents are 0; permuting the
+    exponents leaves the sum unchanged.  More exponents than n raise ValueError.
     """
     check_orbit(n, k)
+    if len(exponents) > n:
+        raise ValueError(f"monomial has {len(exponents)} exponents, more than n={n}")
     if any(e % 2 for e in exponents):
         return 0
-    total = 0
-    for support in itertools.combinations(range(n), k):
-        point = [0] * n
-        for idx in support:
-            point[idx] = 1
-        total += math.prod(map(pow, point, exponents))
-    return 2**k * total
+    # ones[j]: the sum over the 0/1 assignments with j ones to the coordinates seen so far
+    ones = [1] + [0] * k
+    for e in exponents + (0,) * (n - len(exponents)):
+        at_0, at_1 = 0**e, 1**e
+        for j in range(k, 0, -1):
+            ones[j] = ones[j] * at_0 + ones[j - 1] * at_1
+        ones[0] *= at_0
+    return 2**k * ones[k]
 
 
 def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:

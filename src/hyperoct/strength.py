@@ -23,8 +23,15 @@ if TYPE_CHECKING:
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
-    """The quadratic form whose zeros govern two-orbit 7-designs."""
-    if not (1 <= orbit_index(k1) <= n and 1 <= orbit_index(k2) <= n):
+    """The quadratic form whose zeros govern two-orbit 7-designs.
+
+    It forms no 2^k, so any int index 1 <= k <= n is accepted, above
+    ``orbit.INDEX_CAP`` too: every pair ``property_g`` returns can be re-checked.
+    """
+    for k in (k1, k2):
+        if type(k) is not int:
+            raise ValueError(f"orbit index must be an int, got {k!r}")
+    if not (1 <= k1 <= n and 1 <= k2 <= n):
         raise ValueError("need 1 <= k1, k2 <= n")
     return (n + 2 - 3 * k1) * (n + 2 - 3 * k2) + 6 * (k1 - 1) * (k2 - 1) + 2 * (n - 1)
 

@@ -169,6 +169,13 @@ def test_over_cap_orbit_raises_before_any_shortcut(exps):
         first_failure(cfg, 7)
 
 
+def test_more_exponents_than_coordinates_rejected():
+    # a fourth exponent on I^3_3 names no coordinate; it is refused, not dropped
+    with pytest.raises(ValueError, match="more than n=3"):
+        _orbit_monomial_sum(3, 3, (2, 2, 2, 2))
+    assert _orbit_monomial_sum(3, 3, (2, 2, 2)) == 8
+
+
 def test_negative_exponent_rejected():
     cfg = make_config(3, [(1, 1, 1)])
     for exps in [(-1, 3, 0), (-2, 0, 0), (-1, 0, 0)]:
@@ -231,6 +238,17 @@ class TestStrengthOracle:
         monkeypatch.setattr(orbit, "orbit_tuples", refuse)
         moments._orbit_monomial_sum.cache_clear()
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
+        failure = first_failure(design, 9)
+        assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
+
+    def test_the_oracle_walks_no_supports(self, monkeypatch):
+        # the kernel recurs over the 14 coordinates of I^14_6, never over its 3,003 supports
+        def refuse(*args):
+            raise AssertionError("itertools.combinations called")
+
+        design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
+        monkeypatch.setattr(itertools, "combinations", refuse)
+        moments._orbit_monomial_sum.cache_clear()
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
 

@@ -63,6 +63,16 @@ class TestGFunction:
         with pytest.raises(ValueError, match="orbit index must be an int"):
             g_function(5, 1, True)
 
+    def test_accepts_every_witness_property_g_returns(self):
+        # both entries of the n = 10^7 witness are above orbit.INDEX_CAP; G forms no 2^k,
+        # so its gate is 1 <= k <= n alone
+        n = 10**7
+        assert property_g(n) == (516040, 3796994)
+        assert g_function(n, *property_g(n)) == 0
+        for k1, k2 in ((True, 3796994), (516040.0, 3796994), (0, 3796994), (516040, n + 1)):
+            with pytest.raises(ValueError):
+                g_function(n, k1, k2)
+
 
 class TestPropertyG:
     def test_known_witnesses(self):
