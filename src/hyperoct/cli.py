@@ -6,7 +6,7 @@ negative, 2 for usage or parse errors.
 
 Each command imports the modules it runs when it runs, so a command that
 needs no polynomial (every one but ``basis``) never loads ``harmonic`` or
-``poly``, and only ``verify``, ``tight`` and ``fisher`` load ``moments``.
+``poly``, and only ``verify`` and ``tight`` load ``moments``.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numeric import binomial
+from .numeric import _Frozen, binomial
 from .poly import Polynomial, _block_form, _integer_product, _IntegerForm, _sparse_monomial, _to_polynomial
 
 _ONE = Fraction(1)
@@ -24,12 +23,16 @@ MAX_N = 6
 MAX_S = 8
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(_Frozen):
     """One product-basis element: index (m0, ..., m_{n-2}, mu) and its polynomial."""
 
+    __slots__ = ("index", "poly")
     index: tuple[int, ...]
     poly: Polynomial
+
+    def __init__(self, index: tuple[int, ...], poly: Polynomial):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "poly", poly)
 
     @property
     def m_values(self) -> tuple[int, ...]:
@@ -191,13 +194,18 @@ _CRITERION_SEEDS: dict[int, tuple[tuple[int, object], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionBasis:
+class CriterionBasis(_Frozen):
     """Coordinate-embedded copies of the fixed degree-s seed polynomials."""
 
+    __slots__ = ("n", "s", "elements")
     n: int
     s: int
     elements: tuple[Polynomial, ...]
+
+    def __init__(self, n: int, s: int, elements: tuple[Polynomial, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)

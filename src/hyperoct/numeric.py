@@ -1,7 +1,9 @@
 """Exact integer and rational primitives shared by every other module.
 
 All certified quantities are Python ints or ``fractions.Fraction`` values;
-nothing in the certification path ever touches floating point.
+nothing in the certification path ever touches floating point.  Every other
+module imports this one, so it also holds ``_Frozen``, the base of the
+package's immutable record types.
 """
 
 from __future__ import annotations
@@ -68,3 +70,44 @@ def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Canonical 'p/q' text form (plain 'p' when the denominator is 1)."""
     return str(as_rational(value))
+
+
+class _Frozen:
+    """Base of the package's immutable records, whose fields are the subclass's ``__slots__``.
+
+    Each subclass's ``__init__`` checks its arguments and stores every field with
+    ``object.__setattr__``; after that, assigning or deleting a field raises
+    AttributeError.  Equality (same class only), hash, repr, pickling and ``match``
+    follow the field tuple, so two records are equal, and hash equal, when their
+    fields are.  It imports nothing, so a CLI child that builds records pays for no
+    class generation and no import of ``inspect``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()

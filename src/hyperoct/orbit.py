@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import as_rational, binomial, format_rational
+from .numeric import _Frozen, as_rational, binomial, format_rational
 
 POINT_CAP = 10**6
 # The most integers, n per point, that one enumerated orbit may hold: a wide orbit
@@ -83,46 +82,54 @@ def orbit_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(_Frozen):
     """One scaled orbit: the points (r/sqrt(k)) * I^n_k with one weight."""
 
+    __slots__ = ("k", "r_squared", "weight")
     k: int
     r_squared: Fraction
     weight: Fraction
 
-    def __post_init__(self):
-        orbit_index(self.k)
-        object.__setattr__(self, "r_squared", as_rational(self.r_squared))
-        object.__setattr__(self, "weight", as_rational(self.weight))
-        if self.k < 1:
+    def __init__(self, k: int, r_squared: Fraction, weight: Fraction):
+        orbit_index(k)
+        r_squared, weight = as_rational(r_squared), as_rational(weight)
+        if k < 1:
             raise ValueError("layer index k must be positive")
-        if self.r_squared <= 0:
+        if r_squared <= 0:
             raise ValueError("squared radius must be positive")
-        if self.weight <= 0:
+        if weight <= 0:
             raise ValueError("weight must be positive")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r_squared", r_squared)
+        object.__setattr__(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(_Frozen):
     """A union of weighted scaled orbits in dimension n."""
 
+    __slots__ = ("n", "layers")
     n: int
     layers: tuple[Layer, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(sorted(self.layers, key=lambda l: l.k)))
-        if type(self.n) is not int:
-            raise ValueError(f"dimension n must be an int, got {self.n!r}")
-        if self.n < 3:
+    def __init__(self, n: int, layers: tuple[Layer, ...]):
+        layers = tuple(layers)
+        for i, layer in enumerate(layers):
+            if not isinstance(layer, Layer):
+                raise TypeError(f"layers[{i}] is not a Layer: {layer!r}")
+        if type(n) is not int:
+            raise ValueError(f"dimension n must be an int, got {n!r}")
+        if n < 3:
             raise ValueError("configurations require n >= 3")
-        ks = [layer.k for layer in self.layers]
+        layers = tuple(sorted(layers, key=lambda l: l.k))
+        ks = [layer.k for layer in layers]
         if len(set(ks)) != len(ks):
             raise ValueError("layer indices k must be distinct")
-        if ks and max(ks) > self.n:
+        if ks and max(ks) > n:
             raise ValueError("layer index k exceeds the dimension")
         if not ks:
             raise ValueError("a configuration needs at least one layer")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def norm_spectrum(self) -> frozenset[Fraction]:

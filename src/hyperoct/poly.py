@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .numeric import as_rational
+from .numeric import _Frozen, as_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -62,6 +61,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # pickling and copying rebuild through the constructor, as no field can be set
+        return Polynomial, (self.nvars, self.terms)
 
     # -- constructors ------------------------------------------------
 
@@ -203,17 +206,22 @@ def _to_polynomial(form: _IntegerForm, nvars: int, monomial=_sparse_monomial) ->
 # -- Gegenbauer (ultraspherical) polynomials -------------------------
 
 
-@dataclass(frozen=True)
-class GegenbauerPoly:
+class GegenbauerPoly(_Frozen):
     """One-variable Gegenbauer polynomial in the monomial basis.
 
     coefficients[i] is the coefficient of x^i; parity forces every other
     entry to vanish.
     """
 
+    __slots__ = ("degree", "alpha", "coefficients")
     degree: int
     alpha: Fraction
     coefficients: tuple[Fraction, ...]
+
+    def __init__(self, degree: int, alpha: Fraction, coefficients: tuple[Fraction, ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:

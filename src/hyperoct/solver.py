@@ -13,11 +13,10 @@ multiplied back in, and the 7-design radius identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeric import as_rational, fraction_sum
+from .numeric import _Frozen, as_rational, fraction_sum
 from .orbit import DesignConfig, Layer, orbit_index
 from .strength import _EQUATIONS, _reduced_sum, property_g
 
@@ -28,11 +27,16 @@ class DegenerateRadiusSystem(ValueError):
     """The radius identity cannot determine the requested unknown."""
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(_Frozen):
+    __slots__ = ("feasible", "reason", "solution")
     feasible: bool
     reason: str
-    solution: DesignConfig | None = None
+    solution: DesignConfig | None
+
+    def __init__(self, feasible: bool, reason: str, solution: DesignConfig | None = None):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "solution", solution)
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,7 +302,11 @@ def tau(n: int, p: int, j: int) -> int:
       3k = n + 2, which is a candidate when n = 1 (mod 3);
     - a_1 > 0 > a_n, so (1, n) and (1, 2, n) are always 5-designs;
     - a pair is a 7-design iff p = 1 and G = 0, as a1 b2 - a2 b1 is a positive
-      multiple of (k1 - k2) G, so the first property-G pair decides j = 2;
+      multiple of (k1 - k2) G, so the first property-G pair decides j = 2.  As
+      15 G = XY + 6(n-1)(n+4) with X = 15 k1 - 3n - 12 and Y = 15 k2 - 3n - 12,
+      every n = 2 (mod 3) has the pair (1, (n+4)/3) and no n = 0 (mod 3) has
+      one (9 divides XY but not 6(n-1)(n+4)), so tau(1, 2) is 7 and 5 there;
+      for n = 1 (mod 3) it depends on n (7 at n = 10, 5 at n = 13);
     - a triple on two radii needs a zero middle a_k, so n = 1 (mod 3); with
       m = floor((n+2)/3), (1, m, n) is a 7-design at p = 1 and, when n = 1
       (mod 3), at p = 2, and (1, m', n) at p = 3, where m' = m - 1 when

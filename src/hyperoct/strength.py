@@ -11,11 +11,10 @@ residual is summed in integers over the layers and reduced once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numeric import binomial, format_rational, fraction_sum
+from .numeric import _Frozen, binomial, format_rational, fraction_sum
 from .orbit import DesignConfig, orbit_index
 
 if TYPE_CHECKING:
@@ -112,6 +111,8 @@ _EQUATIONS = {
     "f82": ({1: 2, 2: 14}, 4, ("f82",)),
     "f84": ({1: 12, 2: -336, 3: 2520, 4: -3780}, 4, ("f84",)),
 }
+# the most variables a criterion monomial has: classify needs C(n-m, k-m) for m up to it
+_LARGEST_SUPPORT = max(max(sums) for sums, _, _ in _EQUATIONS.values())
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 EQ_IDS_T9 = tuple(eq for _, _, eq_ids in _EQUATIONS.values() for eq in eq_ids)
 
@@ -138,13 +139,20 @@ def layer_sum_f84(n: int, k: int) -> int:
     return _grouped_sum(_EQUATIONS["f84"][0], n, k)
 
 
-@dataclass(frozen=True)
-class StrengthReport:
-    """Classification verdict with every defining residual, for debugging."""
+class StrengthReport(_Frozen):
+    """Classification verdict with every defining residual, for debugging.
 
+    Unhashable, as its residuals are a dict."""
+
+    __slots__ = ("strength", "residuals", "nine_design_obstruction")
     strength: int
     residuals: dict[str, Fraction]
-    nine_design_obstruction: str | None = None
+    nine_design_obstruction: str | None
+
+    def __init__(self, strength: int, residuals: dict[str, Fraction], nine_design_obstruction: str | None = None):
+        object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "nine_design_obstruction", nine_design_obstruction)
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,6 +161,16 @@ class StrengthReport:
             "residuals": {k: format_rational(v) for k, v in self.residuals.items()},
             "nine_design_obstruction": self.nine_design_obstruction,
         }
+
+
+def _orbit_counts(n: int, k: int) -> list[int]:
+    """2^k C(n-m, k-m), the orbit sum of an all-even monomial on m variables, for
+    m = 1..min(n, _LARGEST_SUPPORT), 1 <= k <= n: one binomial, then each entry from
+    the one before, as C(n-m-1, k-m-1) = C(n-m, k-m) (k-m) / (n-m) exactly."""
+    counts = [2**k * binomial(n - 1, k - 1)]
+    for m in range(1, min(n, _LARGEST_SUPPORT)):
+        counts.append(counts[-1] * (k - m) // (n - m))
+    return counts
 
 
 def classify(cfg: DesignConfig) -> StrengthReport:
@@ -164,14 +182,21 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     for n = 3 and is omitted there.
     """
     n = cfg.n
-    # each layer read once as ints: k, r^2 = p/q, w = a/b
-    layers = [(layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio()) for layer in cfg.layers]
+    # each layer read once as ints: k, r^2 = p/q, w = a/b, and its orbit counts
+    layers = [
+        (layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio(), _orbit_counts(n, layer.k))
+        for layer in cfg.layers
+    ]
     residuals: dict[str, Fraction] = {}
     for sums, scale, eq_ids in _EQUATIONS.values():
         if max(sums) > n:
             continue
-        # w (r^2/k)^scale (r^2)^power G = a p^e G / (b q^e k^scale), e = scale + power
-        terms = [(a * _grouped_sum(sums, n, k), b * k**scale, p, q) for k, p, q, a, b in layers]
+        # w (r^2/k)^scale (r^2)^power G = a p^e G / (b q^e k^scale), e = scale + power, with
+        # G = sum c_m 2^k C(n-m, k-m) the orbit sum of the criterion (``_grouped_sum``)
+        terms = [
+            (a * sum(c * counts[m - 1] for m, c in sums.items()), b * k**scale, p, q)
+            for k, p, q, a, b, counts in layers
+        ]
         for e, eq in enumerate(eq_ids, start=scale):
             residuals[eq] = fraction_sum((num * p**e, den * q**e) for num, den, p, q in terms)
 

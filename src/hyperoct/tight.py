@@ -8,14 +8,14 @@ fixes its radii, and ``solver`` gives its weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .moments import max_strength_oracle
-from .numeric import as_rational, binomial
-from .orbit import DesignConfig, OrbitSizeError
-from .solver import FeasibilityResult, solve_t5, solve_t7
-from .strength import classify
+from .numeric import _Frozen, as_rational, binomial
+from .orbit import DesignConfig, Layer, OrbitSizeError
+
+if TYPE_CHECKING:
+    from .solver import FeasibilityResult
 
 
 def hom_dimension(n: int, s: int) -> int:
@@ -25,13 +25,20 @@ def hom_dimension(n: int, s: int) -> int:
     return binomial(s + n - 1, n - 1)
 
 
-@dataclass(frozen=True)
-class FisherBound:
+class FisherBound(_Frozen):
+    __slots__ = ("n", "p", "t", "value", "per_k")
     n: int
     p: int
     t: int
     value: int
     per_k: tuple[int, ...]
+
+    def __init__(self, n: int, p: int, t: int, value: int, per_k: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_k", per_k)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "p": self.p, "t": self.t, "value": self.value, "per_k": list(self.per_k)}
@@ -63,28 +70,34 @@ def _parameters(r_squared, rho_squared, weight) -> tuple[Fraction, Fraction, Fra
 def _scaled(result: FeasibilityResult, w: Fraction) -> DesignConfig:
     """The solved configuration, whose first weight is 1, with every weight times w."""
     cfg = result.solution
-    return DesignConfig(n=cfg.n, layers=tuple(replace(layer, weight=layer.weight * w) for layer in cfg.layers))
+    return DesignConfig(n=cfg.n, layers=tuple(Layer(layer.k, layer.r_squared, layer.weight * w) for layer in cfg.layers))
 
 
 def tight_5_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron plus cube in R^3; tight 14-point 5-design when the radii differ."""
+    from . import solver
+
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
-    return _scaled(solve_t5(3, (1, 3), {1: r2, 3: rho2}), w)
+    return _scaled(solver.solve_t5(3, (1, 3), {1: r2, 3: rho2}), w)
 
 
 def tight_7_3d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Octahedron, cuboctahedron, and cube in R^3; tight 26-point 7-design
     when the two parameters differ (the three radii are then distinct)."""
+    from . import solver
+
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
     t = (3 * r2 + 2 * rho2) / 5
-    return _scaled(solve_t7(3, (1, 2, 3), {1: r2, 2: t * r2 / rho2, 3: t}), w)
+    return _scaled(solver.solve_t7(3, (1, 2, 3), {1: r2, 2: t * r2 / rho2, 3: t}), w)
 
 
 def tight_7_4d(r_squared, rho_squared, weight=1) -> DesignConfig:
     """Minimal vectors of the checkerboard lattice and of its dual in R^4;
     tight 48-point 7-design when the radii differ."""
+    from . import solver
+
     r2, rho2, w = _parameters(r_squared, rho_squared, weight)
-    return _scaled(solve_t7(4, (1, 2, 4), {1: r2, 2: rho2, 4: r2}), w)
+    return _scaled(solver.solve_t7(4, (1, 2, 4), {1: r2, 2: rho2, 4: r2}), w)
 
 
 # -- tightness verdicts ----------------------------------------------
@@ -105,9 +118,12 @@ def tightness_certificate(cfg: DesignConfig) -> dict:
     layer's orbit is within the enumeration caps; ``oracle_check`` records that
     it ran, or the ``OrbitSizeError`` message that kept it from running.
     """
-    report = classify(cfg)
+    # imported as modules: a relative import of a name costs about three times as much per call
+    from . import moments, strength
+
+    report = strength.classify(cfg)
     try:
-        oracle_t = max_strength_oracle(cfg, t_max=_CROSS_CHECK_T)
+        oracle_t = moments.max_strength_oracle(cfg, t_max=_CROSS_CHECK_T)
     except OrbitSizeError as exc:
         oracle_check = {"ran": False, "reason": str(exc)}
     else:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,13 @@ class TestLayerValidation:
         for n in (4.5, 4.0, True, "4"):
             with pytest.raises(ValueError, match="dimension n must be an int"):
                 make_config(n, [(1, 1, 1)])
+
+    def test_a_layer_that_is_not_a_layer_is_named(self):
+        # a bare (k, r^2, w) triple is what make_config takes, not DesignConfig
+        layer = Layer(1, 1, 1)
+        for layers, bad in [(((1, 1, 1),), "layers[0]"), ((layer, None), "layers[1]"), ((layer, "3"), "layers[1]")]:
+            with pytest.raises(TypeError, match=rf"{re.escape(bad)} is not a Layer"):
+                DesignConfig(3, layers)
 
     @pytest.mark.parametrize("k", [1.5, 1.0, True, Fraction(1), "1"])
     def test_orbit_index_must_be_an_int(self, k):

@@ -81,7 +81,8 @@ def test_export_list_is_pinned():
 
 # The hyperoct modules each documented CLI command loads, beyond the package root, cli,
 # numeric and orbit; start-up is paid in every fresh interpreter, so a new eager import
-# has to change this table
+# has to change this table.  No command loads `dataclasses`, nor the `inspect` it imports
+UNLOADED_STDLIB = ("dataclasses", "inspect")
 COMMAND_MODULES = {
     ("orbit", "--n", "4", "--k", "2"): set(),
     ("classify", "--config", "{path}"): {"strength"},
@@ -90,7 +91,7 @@ COMMAND_MODULES = {
     ("solve", "--n", "5", "--J", "1,3", "--t", "5"): {"solver", "strength"},
     ("solve", "--n", "5", "--J", "1,2,4", "--t", "7"): {"solver", "strength"},
     ("verify", "--config", "{path}", "--t", "5"): {"moments"},
-    ("fisher", "--n", "3", "--p", "2", "--t", "5"): {"moments", "solver", "strength", "tight"},
+    ("fisher", "--n", "3", "--p", "2", "--t", "5"): {"tight"},
     ("tight", "--family", "5-3d", "--r2", "1", "--rho2", "2"): {"moments", "solver", "strength", "tight"},
     ("basis", "--n", "3", "--s", "4"): {"harmonic", "poly"},
 }
@@ -117,13 +118,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "from hyperoct.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    exit_code = main(sys.argv[1:])\n"
-        f"print(json.dumps([exit_code, {_LOADED}]))"
+        f"print(json.dumps([exit_code, {_LOADED}, [m for m in {UNLOADED_STDLIB!r} if m in sys.modules]]))"
     )
     base = {"hyperoct", "hyperoct.cli", "hyperoct.numeric", "hyperoct.orbit"}
     for argv, modules in COMMAND_MODULES.items():
-        exit_code, loaded = _fresh_interpreter(code, *(arg.format(path=path) for arg in argv))
+        exit_code, loaded, stdlib = _fresh_interpreter(code, *(arg.format(path=path) for arg in argv))
         assert exit_code in (0, 1), argv
         assert set(loaded) == base | {f"hyperoct.{m}" for m in modules}, argv
+        assert stdlib == [], argv
 
 
 def test_one_process_wide_cache():

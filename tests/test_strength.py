@@ -15,6 +15,7 @@ from helpers import (
     reference_property_g,
     squared_radius_polynomial,
     strength_golden_text,
+    vanishes_identically,
 )
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
@@ -24,6 +25,7 @@ from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
 from hyperoct.strength import (
     _EQUATIONS,
+    _orbit_counts,
     _support_sums,
     classify,
     g_function,
@@ -89,9 +91,36 @@ class TestPropertyG:
         for n in range(1, 301):
             assert property_g(n) == reference_property_g(n), n
 
+    # the n mod 3 law is checked against property_g up to here; the proofs hold for every n
+    LAW_CHECKED_TO = 3000
+
+    def test_g_is_a_product_plus_a_constant(self):
+        """15 G(n, k1, k2) = XY + 6(n-1)(n+4), with X = 15 k1 - 3n - 12 and Y = 15 k2 - 3n - 12.
+
+        Both sides have degree 2 in n and 1 in each index, so agreeing on a
+        3 x 2 x 2 grid makes them equal for every n, k1, k2.
+        """
+        def diff(n, k1, k2):
+            x, y = 15 * k1 - 3 * n - 12, 15 * k2 - 3 * n - 12
+            return 15 * g_function(n, k1, k2) - x * y - 6 * (n - 1) * (n + 4)
+
+        assert vanishes_identically(diff, (2, 1, 1), (3, 1, 1))
+
+    def test_n_2_mod_3_pairs_the_first_orbit(self):
+        """G(n, 1, k) = (n-1)(n+4-3k): for n = 2 (mod 3) its zero k = (n+4)/3 is an
+        orbit index, and property_g, which tries k1 = 1 first, returns (1, (n+4)/3)."""
+        assert vanishes_identically(lambda n, k: g_function(n, 1, k) - (n - 1) * (n + 4 - 3 * k), (2, 1), (3, 1))
+        for n in range(2, self.LAW_CHECKED_TO, 3):
+            assert property_g(n) == (1, (n + 4) // 3), n
+
     def test_multiples_of_three_never_qualify(self):
-        for n in range(3, 100, 3):
-            assert property_g(n) is None
+        """For n = 3m, X = 3(5 k1 - 3m - 4) and Y are multiples of 3, so 9 divides XY, while
+        (n-1)(n+4) = 9(m^2 + m) - 4 makes 6(n-1)(n+4) = 3 (mod 9): 15 G = XY + 6(n-1)(n+4)
+        is never 0, and property_g(n) is None."""
+        assert vanishes_identically(lambda m: (3 * m - 1) * (3 * m + 4) - 9 * (m * m + m) + 4, (2,), (1,))
+        assert 6 * -4 % 9 == 3
+        for n in range(3, self.LAW_CHECKED_TO, 3):
+            assert property_g(n) is None, n
 
 
 class TestLayerSums:
@@ -101,6 +130,12 @@ class TestLayerSums:
     def test_support_sum_tables_are_those_of_the_criteria(self, eq, criterion):
         # strength writes the tables out as literals, so its import builds no polynomial
         assert _EQUATIONS[eq][0] == _support_sums(criterion())
+
+    def test_orbit_counts_step_from_one_binomial(self):
+        # classify takes C(n-m, k-m), m = 1..4, each from the one before, k <= m included
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert _orbit_counts(n, k) == [2**k * binomial(n - m, k - m) for m in range(1, min(n, 4) + 1)], (n, k)
 
     def test_frozen_values(self):
         assert layer_sum_f42(3, 1) == 4
