@@ -12,7 +12,10 @@ an all-even monomial takes the same value at every sign flip of a point,
 so it is 2^k times its sum over the 0/1 points with k ones.  That sum is
 taken by a recurrence over the coordinates, evaluating each coordinate's
 factor at 0 and at 1, in O(n k) integer steps (see ``_orbit_monomial_sum``).
-The scan tests one monomial per permutation class (see ``first_failure``).
+The scan tests one monomial per permutation class (see ``first_failure``),
+reading each even degree's partitions from a second bounded cache,
+``_partitions``, only when it reaches that degree; its key caps the part
+count at the degree, so it holds the same few tables at every n.
 No binomial and no counting formula is used, which keeps this oracle
 independent of the closed forms in ``strength``.  Both sides of a residual
 are read at the partition of the exponents, their sorted nonzero entries,
@@ -100,20 +103,21 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     sides zero, but the orbit sums are taken first, so an orbit over the
     caps raises ``OrbitSizeError`` either way.
     """
-    exponents = tuple(exponents)
-    if len(exponents) != cfg.n:
+    ordered = sorted(exponents)
+    if len(ordered) != cfg.n:
         raise ValueError("monomial has wrong number of variables")
-    if min(exponents) < 0:
+    if ordered[0] < 0:
         raise ValueError("exponents must be non-negative")
-    degree = sum(exponents)
+    degree = sum(ordered)
     if degree % 2:
         return _ZERO
     n, half = cfg.n, degree // 2
-    parts = tuple(sorted(e for e in exponents if e))
+    parts = tuple(ordered[ordered.count(0):])
     # every orbit is checked against the caps before the odd-exponent shortcut
     sums = [_orbit_monomial_sum(n, layer.k, parts) for layer in cfg.layers]
-    if any(e % 2 for e in parts):
-        return _ZERO
+    for e in parts:
+        if e % 2:
+            return _ZERO
     # the sphere average scales as (r^2)^half, so one unit-sphere average sn/sd serves
     # every layer: w (r^2/k)^half S - w |O| (r^2)^half sn/sd with r^2 = p/q and w = a/b
     # is a p^half (S sd - |O| k^half sn) / (b q^half k^half sd)
@@ -142,17 +146,24 @@ class OracleFailure(NamedTuple):
     residual: Fraction
 
 
-def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def _partitions(total: int, parts: int, largest: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of total into at most `parts` parts of at most `largest`, in
-    decreasing lexicographic order."""
+    decreasing lexicographic order.
+
+    Callers pass parts and largest at most total (more would change no
+    partition), so the key depends only on the degree and not on n; the
+    recursion keeps that form and reads the smaller tables from this cache.
+    """
     if total == 0:
-        yield ()
-        return
+        return ((),)
     if parts == 0:
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first, *rest)
+        return ()
+    return tuple(
+        (first, *rest)
+        for first in range(largest, 0, -1)
+        for rest in _partitions(total - first, min(parts - 1, total - first), min(first, total - first))
+    )
 
 
 def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
@@ -165,15 +176,21 @@ def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
     and each even degree tests one monomial per partition l1 >= ... >= lm of
     it: (l1, ..., lm, 0, ..., 0), the first monomial of its permutation class.
     The partitions are taken in decreasing lexicographic order, the order of
-    those first monomials.  Every layer's orbit is checked against the caps
-    before the scan.
+    those first monomials, from the memoized table ``_partitions(degree,
+    min(n, degree), degree)``: more parts than the degree change no partition,
+    so the key and the cache's size depend on the degree and not on n, and a
+    degree's table is built only when the scan reaches it.  Every layer's
+    orbit is checked against the caps before the scan.  A t_max that is not an
+    int, bool included, raises ValueError.
     """
+    if type(t_max) is not int:
+        raise ValueError(f"t_max must be an int, got {t_max!r}")
     if t_max < 0:
         raise ValueError(f"strength must be non-negative, got {t_max}")
     for layer in cfg.layers:
         check_orbit(cfg.n, layer.k)
     for degree in range(2, t_max + 1, 2):
-        for parts in _partitions(degree, cfg.n, degree):
+        for parts in _partitions(degree, min(cfg.n, degree), degree):
             exponents = parts + (0,) * (cfg.n - len(parts))
             residual = monomial_residual(cfg, exponents)
             if residual != 0:

@@ -330,5 +330,9 @@ def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:
 def tau_table(n: int) -> dict[tuple[int, int], int]:
     """All tau(p, j) values for 1 <= p <= j <= 3."""
     _check_scan(n)
-    columns = [_columns(n, ks) for ks in _candidates(n)]
+    sets = _candidates(n)
+    # the sets share 1, n and m, so each index's entries are reduced once
+    ks = sorted({k for J in sets for k in J})
+    entry = {k: (a, b) for k, a, b in zip(ks, *_columns(n, ks))}
+    columns = [([entry[k][0] for k in J], [entry[k][1] for k in J]) for J in sets]
     return {(p, j): _tau(columns, p, j) for j in range(1, 4) for p in range(1, j + 1)}

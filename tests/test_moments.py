@@ -229,6 +229,13 @@ class TestStrengthOracle:
                 check(cfg, -3)
         assert verify_strength(cfg, 0) and max_strength_oracle(cfg, 0) == 0
 
+    @pytest.mark.parametrize("check", [first_failure, verify_strength, max_strength_oracle])
+    @pytest.mark.parametrize("t_max", [True, False, 2.5, 9.0, "9", None])
+    def test_a_strength_that_is_not_an_int_is_rejected(self, check, t_max):
+        # True used to scan as t_max = 1 and come back as a strength, 2.5 raised TypeError
+        with pytest.raises(ValueError, match="t_max"):
+            check(make_config(3, [(1, 1, 1)]), t_max)
+
     def test_the_oracle_enumerates_no_orbit_points(self, monkeypatch):
         # the kernel walks the supports of I^14_6, never its 192,192 points
         def refuse(n, k):
@@ -334,3 +341,42 @@ class TestPartitionScan:
             len({tuple(sorted(e)) for e in monomials_of_degree(design.n, d)}) for d in (2, 4, 6)
         )
         assert len(calls) == classes == len(set(calls))
+
+    def test_the_table_is_the_distinct_sorted_nonzero_parts_of_every_monomial(self):
+        for d in range(13):
+            for m in range(9):
+                table = moments._partitions(d, min(m, d), d)
+                brute = {tuple(sorted((e for e in exps if e), reverse=True)) for exps in monomials_of_degree(m, d)}
+                assert list(table) == sorted(brute, reverse=True), (d, m)
+                # a cached table is shared by every caller, so nothing in it may be mutable
+                assert type(table) is tuple and all(type(parts) is tuple for parts in table)
+
+    def test_a_degree_is_built_only_when_the_scan_reaches_it(self, monkeypatch):
+        built = []
+        cached = moments._partitions
+
+        def recorded(total, parts, largest):
+            built.append(total)
+            return cached(total, parts, largest)
+
+        cached.cache_clear()
+        monkeypatch.setattr(moments, "_partitions", recorded)
+        assert max_strength_oracle(tight_7_4d(1, 2), 10**6) == 7
+        assert max(built) == 8
+
+    def test_the_table_does_not_grow_with_n(self):
+        cached = moments._partitions
+        cached.cache_clear()
+        # every table a scan to degree 8 can ask for at any n: n above the degree changes no key
+        for d in range(0, 9, 2):
+            for m in range(9):
+                cached(d, min(m, d), d)
+        bound = cached.cache_info().currsize
+        assert bound < cached.cache_info().maxsize
+        cached.cache_clear()
+        designs = {cfg.n: cfg for cfg in _property_g_designs(11)}
+        for n in range(3, 61):
+            configs = [make_config(n, [(1, 1, 1)]), make_config(n, [(1, 1, 1), (2, 3, Fraction(1, 2))])]
+            for cfg in configs + ([designs[n]] if n in designs else []):
+                first_failure(cfg, 9)
+            assert cached.cache_info().currsize <= bound, n

@@ -141,7 +141,7 @@ def test_one_process_wide_cache():
             f"{value.__module__}.{value.__qualname__}"
             for value in vars(module).values() if callable(value) and hasattr(value, "cache_info")
         }
-    assert cached == {"hyperoct.moments._orbit_monomial_sum"}
+    assert cached == {"hyperoct.moments._orbit_monomial_sum", "hyperoct.moments._partitions"}
 
 
 def _referenced_names(node) -> Counter:
