@@ -126,6 +126,16 @@ def embed(f: Polynomial, g: Sequence[int], n: int) -> Polynomial:
 # -- the fixed criterion polynomials ---------------------------------
 
 
+def _symmetric(nvars: int, table: dict[tuple[int, ...], int]) -> Polynomial:
+    """The symmetric polynomial sum c m_lambda over the table's partitions lambda: each
+    coefficient c on every distinct arrangement of lambda's parts over the nvars variables."""
+    return Polynomial(nvars, {
+        _sparse_monomial(exps): c
+        for parts, c in table.items()
+        for exps in dict.fromkeys(itertools.permutations(parts + (0,) * (nvars - len(parts))))
+    })
+
+
 def criterion_f42() -> Polynomial:
     """Re((x1 + i x2)^4)."""
     return _to_polynomial(_real_imag_powers(4, 1, 2), 2)
@@ -137,14 +147,7 @@ def criterion_f62() -> Polynomial:
 
 
 def criterion_f63() -> Polynomial:
-    terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for i in (1, 2, 3):
-        terms[((i, 6),)] = 2
-    for i, j in itertools.permutations((1, 2, 3), 2):
-        mono = tuple(sorted(((i, 4), (j, 2))))
-        terms[mono] = -15
-    terms[((1, 2), (2, 2), (3, 2))] = 180
-    return Polynomial(3, terms)
+    return _symmetric(3, {(6,): 2, (4, 2): -15, (2, 2, 2): 180})
 
 
 def criterion_f82() -> Polynomial:
@@ -171,19 +174,7 @@ def criterion_f832() -> Polynomial:
 
 
 def criterion_f84() -> Polynomial:
-    terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for i in range(1, 5):
-        terms[((i, 8),)] = 3
-    for i, j in itertools.permutations(range(1, 5), 2):
-        mono = tuple(sorted(((i, 6), (j, 2))))
-        terms[mono] = -28
-    for i in range(1, 5):
-        rest = [v for v in range(1, 5) if v != i]
-        for j, k in itertools.combinations(rest, 2):
-            mono = tuple(sorted(((i, 4), (j, 2), (k, 2))))
-            terms[mono] = 210
-    terms[((1, 2), (2, 2), (3, 2), (4, 2))] = -3780
-    return Polynomial(4, terms)
+    return _symmetric(4, {(8,): 3, (6, 2): -28, (4, 2, 2): 210, (2, 2, 2, 2): -3780})
 
 
 # seeds per degree: (number of variables, constructor), in display order

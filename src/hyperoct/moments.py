@@ -1,10 +1,10 @@
 """Ground-truth verification of the design property from first principles.
 
 Sphere averages of monomials have an exact rational closed form, and
-weighted sums over orbit layers are computed by evaluating the monomial at
-orbit points.  Checking every monomial of total degree <= t is equivalent
-to the defining property of a Euclidean t-design because monomials span
-the polynomial space.
+weighted sums over orbit layers are computed from the orbits' symmetry,
+at no orbit point.  Checking every monomial of total degree <= t is
+equivalent to the defining property of a Euclidean t-design because
+monomials span the polynomial space.
 
 Every layer is a complete hyperoctahedral orbit, so the orbit-sum kernel
 uses its sign-flip and permutation symmetry: an odd exponent gives 0, and
@@ -16,11 +16,14 @@ The scan tests one monomial per permutation class (see ``first_failure``),
 reading each even degree's partitions from a second bounded cache,
 ``_partitions``, only when it reaches that degree; its key caps the part
 count at the degree, so it holds the same few tables at every n.
-No binomial and no counting formula is used, which keeps this oracle
-independent of the closed forms in ``strength``.  Both sides of a residual
-are read at the partition of the exponents, their sorted nonzero entries,
-the orbit sums through one cache keyed by it, and are summed in integers
-over the layers and reduced once (see ``monomial_residual``).
+The orbit sums use no binomial and no counting formula.  The one count
+read is the orbit size |O| = 2^k C(n, k), from ``orbit.orbit_size``, for
+the sphere side of a residual; ``strength`` never calls ``orbit_size`` or
+this module, which keeps the oracle independent of its closed forms.
+Both sides of a residual are read at the partition of the exponents, their
+sorted nonzero entries, the orbit sums through one cache keyed by it, and
+are summed in integers over the layers and reduced once (see
+``monomial_residual``).
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     """Weighted design sum minus sphere-average side for one monomial.
 
     Odd total degree is exactly zero on both sides (the configuration is
-    antipodal and odd monomials average to zero), so enumeration is
-    skipped in that case.  An odd exponent in an even total makes both
-    sides zero, but the orbit sums are taken first, so an orbit over the
-    caps raises ``OrbitSizeError`` either way.
+    antipodal and odd monomials average to zero), so 0 is returned without
+    any orbit sum.  An odd exponent in an even total makes both sides zero,
+    but the orbit sums are taken first, so an orbit over the caps raises
+    ``OrbitSizeError`` either way.
     """
     ordered = sorted(exponents)
     if len(ordered) != cfg.n:

@@ -60,7 +60,7 @@ def check_orbit(n: int, k: int) -> None:
     if not 1 <= orbit_index(k) <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k >= POINT_CAP.bit_length():
-        # 2^k alone is over the cap, and for a large enough k it would not fit in memory
+        # 2^k alone is over the cap; k <= INDEX_CAP here, so this only spares computing C(n, k)
         raise OrbitSizeError(f"orbit has at least 2^{k} points, cap is {POINT_CAP}")
     size = orbit_size(n, k)
     if size > POINT_CAP:

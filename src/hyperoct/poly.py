@@ -37,8 +37,9 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _mono_from_map(exps)
 
 
-class Polynomial:
-    """Immutable sparse polynomial over Fraction coefficients."""
+class Polynomial(_Frozen):
+    """Immutable sparse polynomial over Fraction coefficients: a ``_Frozen`` record with its
+    own repr, and its own hash, as the field tuple's hash fails on the ``terms`` dict."""
 
     __slots__ = ("nvars", "terms")
 
@@ -58,13 +59,6 @@ class Polynomial:
             clean[mono] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        # pickling and copying rebuild through the constructor, as no field can be set
-        return Polynomial, (self.nvars, self.terms)
 
     # -- constructors ------------------------------------------------
 
@@ -122,13 +116,6 @@ class Polynomial:
             base = base * base if power > 1 else base
             power >>= 1
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))

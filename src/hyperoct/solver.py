@@ -47,7 +47,6 @@ class FeasibilityResult(_Frozen):
 
 
 def _radius_map(J: Sequence[int], r_squared) -> dict[int, Fraction]:
-    J = sorted(set(J))
     given = {orbit_index(k): as_rational(v) for k, v in (r_squared or {}).items()}
     unknown = set(given) - set(J)
     if unknown:
@@ -69,11 +68,12 @@ def _validate(n: int, J: Sequence[int]) -> list[int]:
     return ks
 
 
-def _config(n: int, ks: list[int], r2: dict[int, Fraction], weights: Sequence[Fraction]) -> DesignConfig:
-    """The layers of ks with the given weights, scaled so the smallest-k weight is 1."""
-    layers = tuple(
-        Layer(k=k, r_squared=r2[k], weight=w / weights[0]) for k, w in zip(ks, weights)
-    )
+def _config(n: int, ks: list[int], r2: dict[int, Fraction], x: Sequence[int], power: int) -> DesignConfig:
+    """The layers of ks with the weights w_k = x_k k^3 / (2^k C(n-1, k-1) (r_k^2)^power) of
+    a solution x = u (power 2) or x = v (power 3) of the column equations (see ``_columns``),
+    scaled so the smallest-k weight is 1."""
+    weights = [xk * k**3 / (2**k * math.comb(n - 1, k - 1) * r2[k] ** power) for xk, k in zip(x, ks)]
+    layers = tuple(Layer(k=k, r_squared=r2[k], weight=w / weights[0]) for k, w in zip(ks, weights))
     return DesignConfig(n=n, layers=layers)
 
 
@@ -104,12 +104,6 @@ def _triple_kernel(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _weights(n: int, ks: Sequence[int], r2: dict[int, Fraction], x: Sequence[int], power: int) -> list[Fraction]:
-    """The weights w_k = x_k k^3 / (2^k C(n-1, k-1) (r_k^2)^power) of a solution x = u
-    (power 2) or x = v (power 3) of the column equations."""
-    return [xk * k**3 / (2**k * math.comb(n - 1, k - 1) * r2[k] ** power) for xk, k in zip(x, ks)]
-
-
 # -- 5-designs --------------------------------------------------------
 
 
@@ -129,10 +123,10 @@ def solve_t5(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     feasible = _five_design_rule(a)
     if len(ks) == 1:
         if feasible:
-            return FeasibilityResult(True, "t5:single-orbit-balanced", _config(n, ks, r2, [_ONE]))
+            return FeasibilityResult(True, "t5:single-orbit-balanced", _config(n, ks, r2, [1], 2))
         return FeasibilityResult(False, "t5:single-orbit-off-balance")
     if feasible:
-        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, _weights(n, ks, r2, (-a[1], a[0]), 2)))
+        return FeasibilityResult(True, "t5:pair-straddles-balance", _config(n, ks, r2, (-a[1], a[0]), 2))
     return FeasibilityResult(False, "t5:pair-no-straddle")
 
 
@@ -212,7 +206,7 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
             return FeasibilityResult(False, "t7:pair-radii-differ")
         if not _seven_design_rule(a, b, 1):
             return FeasibilityResult(False, "t7:pair-nonzero-g")
-        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, _weights(n, ks, r2, (-a[1], a[0]), 3)))
+        return FeasibilityResult(True, "t7:pair-equal-radius-zero-g", _config(n, ks, r2, (-a[1], a[0]), 3))
 
     k1, k2, k3 = ks
     distinct = len({r2[k] for k in ks})
@@ -226,7 +220,7 @@ def solve_t7(n: int, J, r_squared: Mapping | None = None) -> FeasibilityResult:
     c = _triple_kernel(a, b)
     if fraction_sum((ck * ak * r2[k].denominator, r2[k].numerator) for ck, ak, k in zip(c, a, ks)) != 0:
         return FeasibilityResult(False, "t7:triple-radius-identity-fails")
-    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, _weights(n, ks, r2, c, 3)))
+    return FeasibilityResult(True, _TRIPLE_REASONS[distinct], _config(n, ks, r2, c, 3))
 
 
 def seven_design_possible(n: int, J, p: int) -> bool:

@@ -7,10 +7,15 @@ from a gamma-function identity, and feasibility from raw linear systems.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import math
 import random
+import shlex
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -851,5 +856,153 @@ def strength_golden_text() -> str:
     )
 
 
+# -- the CLI output corpus -----------------------------------------------------
+#
+# One line per fixed argv: the argv, the exit code and the sha256 of stdout and of
+# stderr, from an in-process run of cli.main.  Config files are written to a temporary
+# directory that the argv and the output name as {dir}.  An argv that argparse itself
+# rejects records only its exit code, as argparse's wording changes across Python
+# versions.  `PYTHONPATH=src python tests/helpers.py` rewrites the file;
+# test_cli.py::test_cli_output_matches_golden_file compares against it.
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+
+def _config_text(n: int, *layers: tuple[int, str, str]) -> str:
+    return json.dumps({"n": n, "layers": [{"k": k, "r_squared": r2, "weight": w} for k, r2, w in layers]})
+
+
+def cli_golden_config_files() -> dict[str, str]:
+    """The text of every config file the corpus reads, by file name."""
+    from hyperoct.tight import tight_5_3d, tight_7_3d, tight_7_4d
+
+    files = {
+        "tight_5_3d.json": tight_5_3d(1, 2).to_json(),
+        "tight_5_3d_scaled.json": tight_5_3d("5/8", "7/3", "2/9").to_json(),
+        "tight_7_3d.json": tight_7_3d(1, 2).to_json(),
+        "tight_7_4d.json": tight_7_4d("3/4", "8/3", "2/7").to_json(),
+        "single_3_2.json": _config_text(3, (2, "1", "1")),
+        "single_4_2.json": _config_text(4, (2, "1", "1")),
+        "pair_8_1_4.json": _config_text(8, (1, "1", "1"), (4, "1", "1")),
+        "pair_5_1_3.json": _config_text(5, (1, "7/3", "1"), (3, "7/3", "5/2")),
+        "union_6.json": _config_text(6, (1, "2", "1/3"), (3, "5/7", "4"), (6, "1", "9/11")),
+        "union_9.json": _config_text(9, (2, "3", "1"), (5, "1/2", "2"), (9, "4", "1/5")),
+        "over_cap_20.json": _config_text(20, (10, "1", "1")),
+        "hostile_nested.json": "[" * 100_000,
+        "hostile_n_1e20.json": _config_text(10**20, (1, "1", "1")),
+        "hostile_k_1e20.json": _config_text(10**20, (10**20, "1", "1")),
+        "hostile_n_1e5.json": _config_text(10**5, (1, "1", "1")),
+        "hostile_n_5000_digits.json": '{"n": ' + "1" * 5000 + ', "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}',
+        "not_json.json": "{n: 3}",
+        "empty.json": "",
+    }
+    for i, field in enumerate(sorted(MALFORMED_CONFIGS)):
+        files[f"malformed_{i}.json"] = json.dumps(MALFORMED_CONFIGS[field])
+    return files
+
+
+def cli_golden_argvs() -> list[list[str]]:
+    """The corpus's argv, each without --pretty; every one also runs with it."""
+    argvs = []
+    for n in range(3, 7):
+        for k in range(1, n + 1):
+            argvs += [["orbit", "--n", str(n), "--k", str(k)], ["orbit", "--n", str(n), "--k", str(k), "--count-only"]]
+    argvs += [["orbit", "--n", "3", "--k", k] for k in ("0", "-1", "4", "x")]
+    argvs += [["orbit", "--n", "25", "--k", "12"], ["orbit", "--n", str(10**20), "--k", str(10**20), "--count-only"]]
+    argvs += [["orbit", "--n", str(10**5), "--k", "1"], ["orbit", "--n", "100", "--k", "50", "--count-only"]]
+    for n, p, t in itertools.product((3, 4, 5, 8), (1, 2, 3), (5, 7)):
+        argvs.append(["fisher", "--n", str(n), "--p", str(p), "--t", str(t)])
+    argvs += [["fisher", "--n", n, "--p", p, "--t", t] for n, p, t in (
+        ("3", "2", "4"), ("3", "1", "0"), ("3", "0", "5"), ("-1", "1", "5"), ("4000", "2", "4000"),
+        ("4001", "2", "5"), ("3", "4001", "5"), ("3", "2", "4001"), (str(10**6), "1", str(10**6)),
+        ("3", str(10**9), "5"), ("3", "2", "x"),
+    )]
+    argvs += [["property-g"]] + [["property-g", "--max", m] for m in ("0", "1", "10", "100", "1000", "-5", "4001", str(10**6), "ten")]
+    argvs += [["tau", "--n", str(n)] for n in (*range(3, 14), 100, 1000, 10**7, 10**7 + 1, 2, 10**12, 10**20)]
+    argvs.append(["tau", "--n", "3.5"])
+    for n, J, r2 in (
+        (3, "1", None), (3, "1,3", None), (3, "1,3", "1=1,3=1"), (3, "1,3", "1=2,3=1/3"), (4, "2", None),
+        (4, "1,2", None), (4, "2,3", None), (5, "1,5", "1=5/7,5=3"), (6, "3", None), (6, "1,6", None),
+        (7, "3", None), (8, "1,8", "1=1/2"), (10, "1,4", None), (40, "1,14", "14=9/4"),
+        (10000, "1,5000", None), (3, "1,2,3", None), (3, "0,1", None), (3, "1,4", None),
+        (3, "1,3", "2=1"), (3, "1,3", "1=-1"), (3, "1,3", "1=0"),
+    ):
+        argvs.append(["solve", "--n", str(n), "--J", J, "--t", "5", *(["--r2", r2] if r2 else [])])
+    for n, J, r2 in (
+        (3, "1", None), (5, "1,3", None), (5, "1,3", "1=7/3,3=7/3"), (5, "1,3", "1=1,3=2"), (8, "1,4", None),
+        (8, "2,8", "2=3,8=3"), (10, "2,7", None), (11, "1,5", None), (6, "1,2", None), (3, "1,2,3", None),
+        (3, "1,2,3", "1=1,2=3/5,3=3/5"), (3, "1,2,3", "1=1,2=2,3=1"), (3, "1,2,3", "1=2,2=1,3=1"),
+        (4, "1,2,4", "1=3/4,2=8/3,4=3/4"), (4, "1,2,4", "1=1,2=1,4=2"), (4, "1,2,3", None), (7, "1,3,7", None),
+        (7, "1,3,7", "1=2,3=5,7=2"), (10, "1,3,10", "1=1,3=2,10=3"), (10, "1,4,10", "1=1,4=2,10=3"),
+        (13, "1,5,13", None), (3, "1,2,3,4", None), (4, "1,2,3,4", None), (3, "1,3", "1=1,3=-2"),
+    ):
+        argvs.append(["solve", "--n", str(n), "--J", J, "--t", "7", *(["--r2", r2] if r2 else [])])
+    argvs += [
+        ["solve", "--n", "3", "--J", "1,3", "--t", "6"],
+        ["solve", "--n", "3", "--J", "1;3", "--t", "5"],
+        ["solve", "--n", "3", "--J", "1,3", "--t", "5", "--r2", "1=1,3=x/y"],
+        ["solve", "--n", "5", "--J", "1,2", "--t", "5", "--r2", "1=1,2=1,2=3"],
+        ["solve", "--n", "5", "--J", "1,2", "--t", "5", "--r2", "1:1"],
+        ["solve", "--n", "5", "--J", "1,2", "--t", "5", "--r2", "a=1"],
+    ]
+    for family in ("5-3d", "7-3d", "7-4d"):
+        for r2, rho2, w in (("1", "2", None), ("1", "1", None), ("3/4", "8/3", "2/7"), ("5", "1/3", "-1"), ("1", "0", None)):
+            argvs.append(["tight", "--family", family, "--r2", r2, "--rho2", rho2, *(["--w", w] if w else [])])
+    argvs += [
+        ["tight", "--family", "5-3d", "--r2", "1..2", "--rho2", "2"],
+        ["tight", "--family", "9-3d", "--r2", "1", "--rho2", "2"],
+        ["tight", "--family", "7-3d", "--r2", "-1", "--rho2", "2"],
+    ]
+    for n in (3, 4, 5):
+        for s in range(1, 5):
+            argvs += [["basis", "--n", str(n), "--s", str(s)], ["basis", "--n", str(n), "--s", str(s), "--fully-even"]]
+    argvs += [["basis", "--n", "5", "--s", "6"], ["basis", "--n", "6", "--s", "4", "--fully-even"]]
+    for n in range(3, 7):
+        argvs += [["basis", "--n", str(n), "--s", str(s), "--criterion"] for s in (2, 4, 6, 8)]
+    argvs += [["basis", "--n", n, "--s", s, *flags] for n, s, flags in (
+        ("3", "3", ["--criterion"]), ("7", "4", ["--criterion"]), ("1000", "8", ["--criterion"]), ("2", "2", []),
+        ("7", "2", []), ("3", "9", []), ("3", "0", []), ("3", "2", ["--criterion", "--fully-even"]),
+    )]
+    for name in cli_golden_config_files():
+        path = f"{{dir}}/{name}"
+        # a refused file fails the same way at every t
+        ts = ("3",) if name.startswith(("hostile", "malformed", "not_json", "empty")) else ("3", "5", "7", "9")
+        argvs += [["classify", "--config", path]] + [["verify", "--config", path, "--t", t] for t in ts]
+    argvs += [
+        ["verify", "--config", "{dir}/tight_5_3d.json", "--t", "-3"],
+        ["verify", "--config", "{dir}/tight_5_3d.json", "--t", "0"],
+        ["verify", "--config", "{dir}/missing.json", "--t", "3"],
+        ["classify", "--config", "{dir}"],
+        ["verify", "--config", "{dir}/tight_5_3d.json"],
+        ["classify"],
+        [],
+        ["frobnicate"],
+    ]
+    return argvs
+
+
+def cli_golden_line(argv: list[str], directory: str) -> str:
+    """The corpus line of one argv, run in process on the config files in directory."""
+    from hyperoct.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{dir}", directory) for arg in argv])
+    except SystemExit as exc:
+        return f"{shlex.join(argv)}\t{exc.code}\targparse\targparse\n"
+    digests = [hashlib.sha256(stream.getvalue().replace(directory, "{dir}").encode()).hexdigest() for stream in (out, err)]
+    return f"{shlex.join(argv)}\t{code}\t{digests[0]}\t{digests[1]}\n"
+
+
+def cli_golden_lines() -> list[str]:
+    """Every corpus line, each argv plain and then with --pretty."""
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in cli_golden_config_files().items():
+            Path(directory, name).write_text(text)
+        return [cli_golden_line(pretty + argv, directory) for argv in cli_golden_argvs() for pretty in ([], ["--pretty"])]
+
+
 if __name__ == "__main__":
     STRENGTH_GOLDEN.write_text(strength_golden_text())
+    CLI_GOLDEN.write_text("".join(cli_golden_lines()))

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from hyperoct.harmonic import (
     full_basis,
     fully_even_subset,
 )
+from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
 from hyperoct.poly import Polynomial, mono_degree
 
@@ -240,3 +242,24 @@ def test_criterion_bases_match_golden_file():
             for i, poly in enumerate(criterion_basis(n, s).elements):
                 lines.append(f"n={n} s={s} [{i}] {poly.canonical_str()}")
     assert "\n".join(lines) + "\n" == golden
+
+
+def _random_partition(rng, degree: int, parts: int) -> tuple[int, ...]:
+    """A random partition of degree into at most `parts` parts, in decreasing order."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(parts - 1))
+    return tuple(sorted(filter(None, (b - a for a, b in zip([0, *cuts], [*cuts, degree]))), reverse=True))
+
+
+def test_symmetric_puts_each_coefficient_on_every_arrangement():
+    # brute force over every exponent tuple: its coefficient is the table's entry for its
+    # sorted nonzero exponents, or 0 when the table has none
+    rng = random.Random(30)
+    for _ in range(60):
+        v, d = rng.randint(1, 5), rng.choice((2, 4, 6, 8, 10))
+        table = {_random_partition(rng, d, v): rng.randint(-50, 50) or 1 for _ in range(rng.randint(1, 4))}
+        poly = harmonic._symmetric(v, table)
+        assert poly.nvars == v
+        for exps in monomials_of_degree(v, d):
+            mono = tuple((i, e) for i, e in enumerate(exps, start=1) if e)
+            want = table.get(tuple(sorted(filter(None, exps), reverse=True)), 0)
+            assert poly.terms.get(mono, 0) == want, (v, table, exps)

@@ -123,3 +123,36 @@ def test_positional_match_binds_the_fields_in_order():
             assert (k, r_squared, weight) == (1, 1, Fraction(1, 2))
         case _:
             pytest.fail("Layer did not match")
+
+
+class TestPolynomialRecord:
+    """Polynomial is a record of the same base, but hashes its terms as a frozenset, so it
+    is not in RECORDS: the hash of its field tuple would fail on the terms dict."""
+
+    def test_fields_cannot_be_deleted(self):
+        for name in ("terms", "nvars"):
+            with pytest.raises(AttributeError):
+                delattr(_POLY, name)
+        assert _POLY.nvars == 2 and _POLY.terms == {((1, 2),): 1, ((2, 2),): -1}
+
+    def test_fields_cannot_be_assigned(self):
+        for name in ("terms", "nvars", "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(_POLY, name, 1)
+
+    def test_pickle_and_copy_round_trips(self):
+        for clone in (pickle.loads(pickle.dumps(_POLY)), copy.copy(_POLY), copy.deepcopy(_POLY)):
+            assert type(clone) is Polynomial
+            assert clone == _POLY and hash(clone) == hash(_POLY)
+
+    def test_positional_match_binds_the_fields_in_order(self):
+        assert Polynomial.__match_args__ == ("nvars", "terms")
+        match _POLY:
+            case Polynomial(nvars, terms):
+                assert (nvars, terms) == (2, _POLY.terms)
+            case _:
+                pytest.fail("Polynomial did not match")
+
+    def test_never_equal_to_a_number(self):
+        assert (Polynomial(2) == 0) is False and (Polynomial.constant(1, 2) == 1) is False
+        assert _POLY != (2, _POLY.terms)
