@@ -78,6 +78,13 @@ def _load_config(path: str) -> DesignConfig:
             data = json.load(handle)
         except RecursionError:
             raise ConfigError("configuration: JSON nested too deeply") from None
+        except ValueError as exc:
+            # the int-string digit limit raises a plain ValueError; a JSON syntax error or an
+            # undecodable byte raises a subclass, whose message names its place
+            if type(exc) is not ValueError:
+                raise
+            limit = sys.get_int_max_str_digits()
+            raise ConfigError(f"configuration: an integer has more than {limit} digits, the limit for reading one") from None
     return DesignConfig.from_json_dict(data)
 
 

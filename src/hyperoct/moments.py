@@ -13,7 +13,7 @@ so it is 2^k times its sum over the 0/1 points with k ones.  That sum is
 taken by a recurrence over the coordinates, evaluating each coordinate's
 factor at 0 and at 1, in O(n k) integer steps (see ``_orbit_monomial_sum``).
 The scan tests one monomial per permutation class (see ``first_failure``),
-reading each even degree's partitions from a second bounded cache,
+reading each even degree's partitions from a bounded cache,
 ``_partitions``, only when it reaches that degree; its key caps the part
 count at the degree, so it holds the same few tables at every n.
 The orbit sums use no binomial and no counting formula.  The one count
@@ -21,8 +21,11 @@ read is the orbit size |O| = 2^k C(n, k), from ``orbit.orbit_size``, for
 the sphere side of a residual; ``strength`` never calls ``orbit_size`` or
 this module, which keeps the oracle independent of its closed forms.
 Both sides of a residual are read at the partition of the exponents, their
-sorted nonzero entries, the orbit sums through one cache keyed by it, and
-are summed in integers over the layers and reduced once (see
+sorted nonzero entries.  A layer adds w (r^2)^h times a weight- and
+radius-free residual that depends only on n, k and the partition, so that
+layer residual is kept in a bounded cache, ``_layer_residual``: the orbit
+sum, ``orbit_size`` and the sphere average are read only on a miss.  The
+scaled layer residuals are summed in integers and reduced once (see
 ``monomial_residual``).
 """
 
@@ -70,7 +73,6 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
     return r_squared ** (sum(exponents) // 2) * Fraction(*_unit_sphere_average(n, exponents))
 
 
-@lru_cache(maxsize=4096)
 def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
     """Sum of x^alpha over the unscaled orbit points, checked against the caps first.
 
@@ -90,11 +92,35 @@ def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
     # ones[j]: the sum over the 0/1 assignments with j ones to the coordinates seen so far
     ones = [1] + [0] * k
     for e in exponents + (0,) * (n - len(exponents)):
-        at_0, at_1 = 0**e, 1**e
+        # a coordinate's factor x^e is 1 at x = 1 and 0**e at x = 0
+        at_0 = 0**e
         for j in range(k, 0, -1):
-            ones[j] = ones[j] * at_0 + ones[j - 1] * at_1
+            ones[j] = ones[j] * at_0 + ones[j - 1]
         ones[0] *= at_0
     return 2**k * ones[k]
+
+
+# Sized to hold every key at n <= 6 to degree 10 (1,108), the certify class of requests
+# (the certify workload reaches 270), with room for an oracle-large job list (178).  By the
+# orbit caps (n <= 3,162, k <= 19, |O| <= 10^6) both ints of an entry stay below 2^80 to
+# degree 10, and an entry, key included, takes about 250 bytes: at most about 0.5 MB.
+@lru_cache(maxsize=2048)
+def _layer_residual(n: int, k: int, parts: tuple[int, ...]) -> tuple[int, int]:
+    """One layer's residual for the monomial x^parts at unit weight and unit squared
+    radius, as an unreduced pair (S sd - |O| k^h sn, k^h sd): S the orbit sum, |O| the
+    orbit size, sn/sd the unit-sphere average and h half the degree.
+
+    parts is a partition (the sorted nonzero exponents), so the key depends on n, k and
+    the partition only.  The orbit is checked against the caps first (by the kernel);
+    an odd part gives (0, 1), as both sides vanish.
+    """
+    s = _orbit_monomial_sum(n, k, parts)
+    for e in parts:
+        if e % 2:
+            return 0, 1
+    half = sum(parts) // 2
+    sn, sd = _unit_sphere_average(n, parts)
+    return s * sd - orbit_size(n, k) * k**half * sn, k**half * sd
 
 
 def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
@@ -102,9 +128,13 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
 
     Odd total degree is exactly zero on both sides (the configuration is
     antipodal and odd monomials average to zero), so 0 is returned without
-    any orbit sum.  An odd exponent in an even total makes both sides zero,
-    but the orbit sums are taken first, so an orbit over the caps raises
-    ``OrbitSizeError`` either way.
+    any orbit sum.  Otherwise each layer's part of the residual is w (r^2)^h
+    times its weight- and radius-free residual, which depends only on n, k and
+    the partition of the exponents and is read from the bounded cache
+    ``_layer_residual``: the orbit sum, ``orbit_size`` and the unit-sphere
+    average are taken only on a miss.  Every layer's entry is read before the
+    sum, so an orbit over the caps raises ``OrbitSizeError`` even when an odd
+    exponent makes both sides zero.
     """
     ordered = sorted(exponents)
     if len(ordered) != cfg.n:
@@ -116,21 +146,15 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
         return _ZERO
     n, half = cfg.n, degree // 2
     parts = tuple(ordered[ordered.count(0):])
-    # every orbit is checked against the caps before the odd-exponent shortcut
-    sums = [_orbit_monomial_sum(n, layer.k, parts) for layer in cfg.layers]
-    for e in parts:
-        if e % 2:
-            return _ZERO
-    # the sphere average scales as (r^2)^half, so one unit-sphere average sn/sd serves
-    # every layer: w (r^2/k)^half S - w |O| (r^2)^half sn/sd with r^2 = p/q and w = a/b
-    # is a p^half (S sd - |O| k^half sn) / (b q^half k^half sd)
-    sn, sd = _unit_sphere_average(n, parts)
+    units = [_layer_residual(n, layer.k, parts) for layer in cfg.layers]
+    # w (r^2)^half num/den with r^2 = p/q and w = a/b is a p^half num / (b q^half den)
     return fraction_sum(
         (
-            layer.weight.numerator * layer.r_squared.numerator**half * (s * sd - orbit_size(n, layer.k) * layer.k**half * sn),
-            layer.weight.denominator * (layer.r_squared.denominator * layer.k) ** half * sd,
+            layer.weight.numerator * layer.r_squared.numerator**half * num,
+            layer.weight.denominator * layer.r_squared.denominator**half * den,
         )
-        for layer, s in zip(cfg.layers, sums)
+        for layer, (num, den) in zip(cfg.layers, units)
+        if num
     )
 
 

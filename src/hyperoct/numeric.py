@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+_ZERO = Fraction(0)
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention that out-of-range arguments give 0.
@@ -56,7 +58,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
     """Sum of the fractions num/den of (num, den) int pairs, added in integers over a
     running lcm of the denominators and reduced once, where a term-by-term Fraction
-    sum reduces every partial sum.  A denominator that is not positive raises ValueError.
+    sum reduces every partial sum.  A zero total returns Fraction(0) without reducing.
+    A denominator that is not positive raises ValueError.
     """
     total, common = 0, 1
     for num, den in pairs:
@@ -64,7 +67,7 @@ def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
             raise ValueError(f"denominator must be positive, got {den}")
         g = math.gcd(common, den)
         total, common = total * (den // g) + num * (common // g), common // g * den
-    return Fraction(total, common)
+    return Fraction(total, common) if total else _ZERO
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -273,7 +273,9 @@ def _check_scan(n: int) -> None:
 
 def _candidates(n: int) -> list[tuple[int, ...]]:
     """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``)."""
-    m = min(max((n + 2) // 3, 2), n - 1)
+    # 2 <= m <= n - 1 for every n >= 3, so (1, m, n) has three distinct indices:
+    # (n + 2) // 3 <= (n + 2) / 3 <= n - 1 as n >= 5/2, and 2 <= n - 1 as n >= 3
+    m = max((n + 2) // 3, 2)
     sets = [(1, n), (1, 2, n), (1, m, n)]
     if n % 3 == 1:
         sets.append((m,))

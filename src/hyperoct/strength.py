@@ -5,13 +5,16 @@ are decided by a handful of exact linear conditions on the orbit sums of
 the criterion polynomials of ``harmonic``, all given by one counting rule
 (``orbit_sum``), and strength 9 is impossible because the degree-8
 two-variable criterion sum is strictly positive on every orbit.  Each
-residual is summed in integers over the layers and reduced once.
+residual is summed in integers over the layers and reduced once.  The
+criterion orbit sums of a layer depend only on n and k, so ``classify``
+reads them from a bounded cache keyed by (n, k), ``_criterion_sums``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .numeric import _Frozen, binomial, format_rational, fraction_sum
@@ -173,6 +176,19 @@ def _orbit_counts(n: int, k: int) -> list[int]:
     return counts
 
 
+# design-scan's classify requests reach every (n, k) with 3 <= n <= 40, 817 keys.  An
+# entry's four ints have about k + log2 C(n, k) bits each: an entry, key included, takes
+# under 0.3 KB at n <= 40, 0.3 MB for all 1,024, and about 16 KB at n = 2 * 10^4,
+# k = 10^4, where 1,024 such entries would pin about 17 MB.
+@lru_cache(maxsize=1024)
+def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
+    """The orbit sum G = sum c_m 2^k C(n-m, k-m) of each ``_EQUATIONS`` criterion on
+    I^n_k, in table order (``_grouped_sum``), from the one binomial of ``_orbit_counts``;
+    a count with m > n is 0."""
+    counts = _orbit_counts(n, k) + [0] * max(_LARGEST_SUPPORT - n, 0)
+    return tuple(sum(c * counts[m - 1] for m, c in sums.items()) for sums, _, _ in _EQUATIONS.values())
+
+
 def classify(cfg: DesignConfig) -> StrengthReport:
     """Exact strength (3, 5, or 7) of an orbit-union configuration.
 
@@ -182,21 +198,18 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     for n = 3 and is omitted there.
     """
     n = cfg.n
-    # each layer read once as ints: k, r^2 = p/q, w = a/b, and its orbit counts
+    # each layer read once as ints: k, r^2 = p/q, w = a/b, and its criterion orbit sums
     layers = [
-        (layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio(), _orbit_counts(n, layer.k))
+        (layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio(), _criterion_sums(n, layer.k))
         for layer in cfg.layers
     ]
     residuals: dict[str, Fraction] = {}
-    for sums, scale, eq_ids in _EQUATIONS.values():
+    for row, (sums, scale, eq_ids) in enumerate(_EQUATIONS.values()):
         if max(sums) > n:
             continue
         # w (r^2/k)^scale (r^2)^power G = a p^e G / (b q^e k^scale), e = scale + power, with
-        # G = sum c_m 2^k C(n-m, k-m) the orbit sum of the criterion (``_grouped_sum``)
-        terms = [
-            (a * sum(c * counts[m - 1] for m, c in sums.items()), b * k**scale, p, q)
-            for k, p, q, a, b, counts in layers
-        ]
+        # G the orbit sum of the criterion
+        terms = [(a * g[row], b * k**scale, p, q) for k, p, q, a, b, g in layers]
         for e, eq in enumerate(eq_ids, start=scale):
             residuals[eq] = fraction_sum((num * p**e, den * q**e) for num, den, p, q in terms)
 

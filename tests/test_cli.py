@@ -126,6 +126,27 @@ class TestVerifyAndClassify:
         code, _, err = run(capsys, "verify", "--config", "/nonexistent.json", "--t", "3")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [["classify"], ["verify", "--t", "3"]])
+    def test_integer_over_the_digit_limit_is_a_config_error(self, capsys, tmp_path, argv):
+        # the interpreter's own text named no field and advised a call a CLI user cannot make
+        path = tmp_path / "config.json"
+        path.write_text('{"n": ' + "1" * 5000 + ', "layers": [{"k": 1, "r_squared": "1", "weight": "1"}]}')
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: configuration: an integer has more than {limit} digits, the limit for reading one\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"{n: 3}", "error: Expecting property name"), (b"\xff{}", "error: 'utf-8' codec can't decode byte 0xff")],
+    )
+    def test_syntax_and_encoding_errors_keep_their_messages(self, capsys, tmp_path, content, message):
+        # both are ValueError subclasses, which the digit-limit message must not swallow
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "classify", "--config", str(path))
+        assert code == 2 and out == "" and err.startswith(message)
+
 
 @pytest.mark.parametrize(
     "config, argv",
@@ -278,7 +299,8 @@ def test_round_trip_through_cli_json(capsys, tmp_path):
 
 def test_cli_output_matches_golden_file():
     # the file was written by helpers.cli_golden_lines() before Polynomial moved onto the
-    # frozen record base and the symmetric criteria onto partition tables
+    # frozen record base and the symmetric criteria onto partition tables; its four
+    # hostile_n_5000_digits rows were rewritten when the digit limit became a config error
     expected = CLI_GOLDEN.read_text().splitlines(keepends=True)
     actual = cli_golden_lines()
     changed = [line.split("\t")[0] for line, want in zip(actual, expected) if line != want]

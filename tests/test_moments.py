@@ -147,12 +147,50 @@ def test_monomial_residual_matches_enumeration_and_the_gamma_oracle():
 @pytest.mark.parametrize("exps", [(4, 2, 2, 0), (3, 1, 2, 0)])
 def test_every_permutation_of_a_monomial_shares_one_kernel_entry_per_layer(exps):
     # both sides of a residual are read at the partition of the exponents, so the
-    # kernel cache holds one entry per layer however the exponents are ordered
+    # layer-residual cache holds one entry per layer however the exponents are ordered
     cfg = make_config(4, [(1, 1, 1), (3, 1, Fraction(3, 4))])
-    moments._orbit_monomial_sum.cache_clear()
+    moments._layer_residual.cache_clear()
     residuals = {monomial_residual(cfg, perm) for perm in set(itertools.permutations(exps))}
     assert len(residuals) == 1
-    assert moments._orbit_monomial_sum.cache_info().currsize == len(cfg.layers)
+    assert moments._layer_residual.cache_info().currsize == len(cfg.layers)
+
+
+@pytest.mark.parametrize(
+    "family, parameters",
+    [
+        (tight_5_3d, [(1, 2, 1), (Fraction(5, 8), Fraction(7, 3), Fraction(2, 9))]),
+        (tight_7_3d, [(1, 2, 1), (Fraction(3, 7), Fraction(11, 5), Fraction(4, 3))]),
+        (tight_7_4d, [(1, 2, 1), (Fraction(9, 4), Fraction(1, 3), Fraction(7, 2))]),
+    ],
+)
+def test_configs_on_the_same_orbits_share_every_layer_residual(family, parameters):
+    # the cached factor is free of weights and radii: a second design on the same n and ks
+    # scans the same partitions and adds no entry, and its residuals are still exact
+    first, second = (family(*p) for p in parameters)
+    assert first.n == second.n and [l.k for l in first.layers] == [l.k for l in second.layers]
+    assert first != second
+    moments._layer_residual.cache_clear()
+    failure = first_failure(first, 9)
+    entries = moments._layer_residual.cache_info().currsize
+    assert first_failure(second, 9).degree == failure.degree
+    assert moments._layer_residual.cache_info().currsize == entries
+    for degree in range(0, failure.degree + 1, 2):
+        for parts in moments._partitions(degree, min(second.n, degree), degree):
+            exponents = parts + (0,) * (second.n - len(parts))
+            assert monomial_residual(second, exponents) == reference_monomial_residual(second, exponents), exponents
+
+
+def test_layer_residual_entries_are_tuples_of_ints():
+    # a cached entry is shared by every caller, so it must be immutable; an odd part is (0, 1)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for degree in range(0, 11):
+                for parts in moments._partitions(degree, min(n, degree), degree):
+                    entry = moments._layer_residual(n, k, parts[::-1])
+                    assert type(entry) is tuple and len(entry) == 2, (n, k, parts)
+                    assert all(type(x) is int for x in entry) and entry[1] > 0, (n, k, parts)
+                    if any(e % 2 for e in parts):
+                        assert entry == (0, 1), (n, k, parts)
 
 
 @pytest.mark.parametrize("exps", [(1, 1), (3, 0, 1), (2, 2)])
@@ -243,7 +281,7 @@ class TestStrengthOracle:
 
         assert not hasattr(moments, "orbit_tuples")
         monkeypatch.setattr(orbit, "orbit_tuples", refuse)
-        moments._orbit_monomial_sum.cache_clear()
+        moments._layer_residual.cache_clear()
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
@@ -255,7 +293,7 @@ class TestStrengthOracle:
 
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
         monkeypatch.setattr(itertools, "combinations", refuse)
-        moments._orbit_monomial_sum.cache_clear()
+        moments._layer_residual.cache_clear()
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
 

@@ -21,7 +21,7 @@ from helpers import (
     vanishes_identically,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
-from hyperoct import strength
+from hyperoct import solver, strength
 from hyperoct.orbit import make_config
 from hyperoct.solver import (
     DegenerateRadiusSystem,
@@ -461,6 +461,15 @@ class TestTauForEveryN:
         for n in range(3, 60):
             singles = [ks for ks in _candidates(n) if len(ks) == 1]
             assert singles == ([((n + 2) // 3,)] if n % 3 == 1 else []), n
+
+    def test_candidates_are_index_sets_without_a_clamp(self, monkeypatch):
+        """The middle index m = max((n+2)//3, 2) of (1, m, n) lies strictly between 1
+        and n for every n >= 3 (proved in ``_candidates``), so every candidate is a
+        strictly increasing tuple of indices in 1..n; checked here for n = 3..10^4."""
+        monkeypatch.setattr(solver, "property_g", lambda n: None)  # the scan is linear in n
+        for n in range(3, 10**4 + 1):
+            for ks in _candidates(n):
+                assert 1 <= ks[0] and ks[-1] <= n and all(a < b for a, b in zip(ks, ks[1:])), (n, ks)
 
     def test_first_and_last_orbits_straddle(self):
         """a_1 > 0 > a_n for every n >= 3, so (1, n) and (1, 2, n) are 5-designs

@@ -23,8 +23,11 @@ from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t7
+from hyperoct import strength
 from hyperoct.strength import (
     _EQUATIONS,
+    _criterion_sums,
+    _grouped_sum,
     _orbit_counts,
     _support_sums,
     classify,
@@ -136,6 +139,24 @@ class TestLayerSums:
         for n in range(1, 41):
             for k in range(1, n + 1):
                 assert _orbit_counts(n, k) == [2**k * binomial(n - m, k - m) for m in range(1, min(n, 4) + 1)], (n, k)
+
+    def test_criterion_sums_are_the_grouped_sums_of_the_table(self):
+        # classify's cached orbit sums per (n, k), in table order; a cached entry is shared
+        # by every caller, so it must be an immutable tuple of ints
+        for n in range(3, 41):
+            for k in range(1, n + 1):
+                sums = _criterion_sums(n, k)
+                assert type(sums) is tuple and all(type(g) is int for g in sums), (n, k)
+                assert sums == tuple(_grouped_sum(row, n, k) for row, _, _ in _EQUATIONS.values()), (n, k)
+
+    def test_a_warm_classify_computes_no_binomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"binomial{args} called")
+
+        cfg = make_config(7, [(1, 2, 3), (4, Fraction(1, 3), Fraction(5, 7)), (7, 1, 1)])
+        report = classify(cfg)
+        monkeypatch.setattr(strength, "binomial", refuse)
+        assert classify(cfg) == report
 
     def test_frozen_values(self):
         assert layer_sum_f42(3, 1) == 4
