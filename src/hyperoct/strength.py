@@ -5,9 +5,10 @@ are decided by a handful of exact linear conditions on the orbit sums of
 the criterion polynomials of ``harmonic``, all given by one counting rule
 (``orbit_sum``), and strength 9 is impossible because the degree-8
 two-variable criterion sum is strictly positive on every orbit.  Each
-residual is summed in integers over the layers and reduced once.  The
-criterion orbit sums of a layer depend only on n and k, so ``classify``
-reads them from a bounded cache keyed by (n, k), ``_criterion_sums``.
+residual is summed in integers over the layers, on one common denominator
+per call, and reduced once.  The criterion orbit sums of a layer depend
+only on n and k, so ``classify`` reads them from a bounded cache keyed by
+(n, k), ``_criterion_sums``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .numeric import _Frozen, binomial, format_rational, fraction_sum
+from .numeric import _ZERO, _Frozen, binomial, format_rational
 from .orbit import DesignConfig, orbit_index
 
 if TYPE_CHECKING:
@@ -46,6 +47,12 @@ def property_g(n: int) -> tuple[int, int] | None:
     zero, found by one exact division (every k2 when both vanish); both step
     linearly with k1.  As 6(k1-1)(k2-1) + 2(n-1) >= 0, a zero needs
     (n+2-3 k1)(n+2-3 k2) <= 0, so k1 <= (n+2)/3 and the scan stops there.
+
+    The test k1 <= k2 binds: a zero with 1 <= k2 < k1 would have come back
+    earlier, as G is symmetric, but a zero at k2 <= 0 is no index (n = 4, k1 = 2
+    gives k2 = 0), and without the test 2,654 values of n <= 20,000 answer
+    differently, from n = 4, 7 and 13 on.  Only k1 < k2 would do as well, as the
+    diagonal G(n, k, k) = (n+2-3k)^2 + 6(k-1)^2 + 2(n-1) has no zero for n >= 2.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -117,7 +124,6 @@ _EQUATIONS = {
 # the most variables a criterion monomial has: classify needs C(n-m, k-m) for m up to it
 _LARGEST_SUPPORT = max(max(sums) for sums, _, _ in _EQUATIONS.values())
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
-EQ_IDS_T9 = tuple(eq for _, _, eq_ids in _EQUATIONS.values() for eq in eq_ids)
 
 
 def layer_sum_f42(n: int, k: int) -> int:
@@ -189,42 +195,53 @@ def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
     return tuple(sum(c * counts[m - 1] for m, c in sums.items()) for sums, _, _ in _EQUATIONS.values())
 
 
+# classify's terms.  A layer's term w (r^2/k)^scale (r^2)^power G, with r^2 = p/q,
+# w = a/b, G the criterion's orbit sum and e = scale + power <= 4, equals
+# a G p^e q^(4-e) k^(4-scale) / (b (k q)^4): one denominator per layer, so every
+# residual is an integer total over their lcm, and only a nonzero one becomes a Fraction.
+# Per criterion: its largest support, its row in _criterion_sums, 4 - scale, and
+# (e, residual id) for each of its residuals, in the canonical order.
+_TERMS = tuple(
+    (max(sums), row, 4 - scale, tuple(enumerate(eq_ids, start=scale)))
+    for row, (sums, scale, eq_ids) in enumerate(_EQUATIONS.values())
+)
+
+
 def classify(cfg: DesignConfig) -> StrengthReport:
     """Exact strength (3, 5, or 7) of an orbit-union configuration.
 
     Evaluates every defining equation: the degree-4 criterion with radius
     powers 0..2, the degree-6 criterion with powers 0..1, and the two
     degree-8 criteria.  The four-variable degree-8 equation is vacuous
-    for n = 3 and is omitted there.
+    for n = 3 and is omitted there.  Each residual is summed in integers
+    over the layers and reduced once, and the verdict reads the integer totals.
     """
     n = cfg.n
-    # each layer read once as ints: k, r^2 = p/q, w = a/b, and its criterion orbit sums
-    layers = [
-        (layer.k, *layer.r_squared.as_integer_ratio(), *layer.weight.as_integer_ratio(), _criterion_sums(n, layer.k))
-        for layer in cfg.layers
-    ]
-    residuals: dict[str, Fraction] = {}
-    for row, (sums, scale, eq_ids) in enumerate(_EQUATIONS.values()):
-        if max(sums) > n:
-            continue
-        # w (r^2/k)^scale (r^2)^power G = a p^e G / (b q^e k^scale), e = scale + power, with
-        # G the orbit sum of the criterion
-        terms = [(a * g[row], b * k**scale, p, q) for k, p, q, a, b, g in layers]
-        for e, eq in enumerate(eq_ids, start=scale):
-            residuals[eq] = fraction_sum((num * p**e, den * q**e) for num, den, p, q in terms)
+    layers = []
+    for layer in cfg.layers:
+        k = layer.k
+        p, q = layer.r_squared.as_integer_ratio()
+        a, b = layer.weight.as_integer_ratio()
+        layers.append((k, p, q, a, b * (k * q) ** 4))
+    common = math.lcm(*[den for *_, den in layers])
+    rows = [row for row in _TERMS if row[0] <= n]
+    totals = {eq: 0 for *_, exponents in rows for _, eq in exponents}
+    for k, p, q, a, den in layers:
+        sums, scaled = _criterion_sums(n, k), common // den * a
+        radial = (0, 0, p * p * q * q, p**3 * q, p**4)  # p^e q^(4-e), e = 2..4
+        for _, row, k_power, exponents in rows:
+            term = scaled * sums[row] * k**k_power
+            for e, eq in exponents:
+                totals[eq] += term * radial[e]
 
-    if all(residuals[eq] == 0 for eq in EQ_IDS_T7):
+    if not any(totals[eq] for eq in EQ_IDS_T7):
         strength = 7
-    elif residuals["f42_s0"] == 0:
+    elif not totals["f42_s0"]:
         strength = 5
     else:
         strength = 3
-    obstruction = next(
-        (eq for eq in EQ_IDS_T9 if eq in residuals and residuals[eq] != 0),
-        None,
-    )
     return StrengthReport(
         strength=strength,
-        residuals=residuals,
-        nine_design_obstruction=obstruction,
+        residuals={eq: Fraction(total, common) if total else _ZERO for eq, total in totals.items()},
+        nine_design_obstruction=next((eq for eq, total in totals.items() if total), None),
     )

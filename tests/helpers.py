@@ -1003,6 +1003,54 @@ def cli_golden_lines() -> list[str]:
         return [cli_golden_line(pretty + argv, directory) for argv in cli_golden_argvs() for pretty in ([], ["--pretty"])]
 
 
+# -- the solver output corpus ----------------------------------------------------
+#
+# One line per call: solve_t5 on every J with |J| <= 2 and solve_t7 on every J with
+# |J| <= 3 at n = 3..9, each on one common radius and on one seeded radius map; for
+# each triple, solve_radius_Q on the seeded radii of its first two indices and, when
+# it gives a radius, solve_t7 on those three radii; then tau_table at n = 3..300,
+# 10^6 and 10^7.  `PYTHONPATH=src python tests/helpers.py` rewrites the file;
+# test_solver.py::test_solver_answers_match_golden_file compares against it.
+
+SOLVER_GOLDEN = Path(__file__).parent / "data" / "solver_golden.txt"
+
+
+def solver_golden_text() -> str:
+    from hyperoct.solver import DegenerateRadiusSystem, solve_radius_Q, solve_t5, solve_t7, tau_table
+
+    def line(name: str, n: int, J: tuple[int, ...], radii: dict, answer) -> str:
+        args = " ".join(f"{k}={r2}" for k, r2 in radii.items())
+        if hasattr(answer, "to_json_dict"):
+            answer = json.dumps(answer.to_json_dict(), separators=(",", ":"))
+        return f"{name} n={n} J={','.join(map(str, J))} {args}\t{answer}\n"
+
+    rng = random.Random(2034)
+    seeded = {k: Fraction(rng.randint(1, 999), rng.randint(100, 999)) for k in range(1, 10)}
+    lines = []
+    for n in range(3, 10):
+        for size in (1, 2, 3):
+            for J in itertools.combinations(range(1, n + 1), size):
+                for radii in ({k: Fraction(7, 3) for k in J}, {k: seeded[k] for k in J}):
+                    if size <= 2:
+                        lines.append(line("solve_t5", n, J, radii, solve_t5(n, J, radii)))
+                    lines.append(line("solve_t7", n, J, radii, solve_t7(n, J, radii)))
+                if size == 3:
+                    known = {k: seeded[k] for k in J[:2]}
+                    try:
+                        r3 = solve_radius_Q(n, J, known)
+                    except DegenerateRadiusSystem as exc:
+                        lines.append(line("solve_radius_Q", n, J, known, f"DegenerateRadiusSystem: {exc}"))
+                        continue
+                    lines.append(line("solve_radius_Q", n, J, known, r3))
+                    if r3 is not None:
+                        radii = {**known, J[2]: r3}
+                        lines.append(line("solve_t7", n, J, radii, solve_t7(n, J, radii)))
+    for n in (*range(3, 301), 10**6, 10**7):
+        lines.append(f"tau_table n={n}\t{' '.join(f'{p},{j}={v}' for (p, j), v in tau_table(n).items())}\n")
+    return "".join(lines)
+
+
 if __name__ == "__main__":
     STRENGTH_GOLDEN.write_text(strength_golden_text())
     CLI_GOLDEN.write_text("".join(cli_golden_lines()))
+    SOLVER_GOLDEN.write_text(solver_golden_text())

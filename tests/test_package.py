@@ -141,7 +141,10 @@ def test_one_process_wide_cache():
             f"{value.__module__}.{value.__qualname__}"
             for value in vars(module).values() if callable(value) and hasattr(value, "cache_info")
         }
-    assert cached == {"hyperoct.moments._layer_residual", "hyperoct.moments._partitions", "hyperoct.strength._criterion_sums"}
+    assert cached == {
+        "hyperoct.moments._layer_residual", "hyperoct.moments._partitions", "hyperoct.solver._column",
+        "hyperoct.strength._criterion_sums",
+    }
 
 
 def _referenced_names(node) -> Counter:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     PROPERTY_G_LE_100,
+    SOLVER_GOLDEN,
     g_form_q_coefficients,
     g_form_seven_design_possible,
     g_form_sign_pattern,
@@ -18,6 +19,7 @@ from helpers import (
     raw_t7_matrix,
     reference_tau_table,
     sign_from,
+    solver_golden_text,
     vanishes_identically,
 )
 from hyperoct.moments import max_strength_oracle, verify_strength
@@ -520,6 +522,34 @@ class TestTauForEveryN:
             assert set(_witnesses(n)) <= set(_candidates(n)), n
 
 
+class TestRuleFactsPinned:
+    """Two facts that make a mutant of ``_seven_design_rule`` give the same answers,
+    checked to a stated n, not proved for every n."""
+
+    def test_a_zero_kernel_entry_leaves_two_negative_ones(self):
+        # so min(c) > 0 could read min(c) >= 0: no triple has c >= 0 with a zero entry
+        zero_entry = 0
+        for n in range(3, 30):
+            for ks in itertools.combinations(range(1, n + 1), 3):
+                c = _triple_kernel(*_columns(n, ks))
+                if 0 in c:
+                    zero_entry += 1
+                    rest = [x for x in c if x]
+                    assert len(rest) == 2 and all(x < 0 for x in rest), (n, ks, c)
+        assert zero_entry == 362
+
+    def test_no_pair_with_a_zero_column_entry_is_parallel(self):
+        # so a[0] * a[1] < 0 could read <= 0: a zero a_k never has parallel columns
+        balanced = 0
+        for n in range(3, 60):
+            for ks in itertools.combinations(range(1, n + 1), 2):
+                a, b = _columns(n, ks)
+                if 0 in a:
+                    balanced += 1
+                    assert a[0] * b[1] != a[1] * b[0], (n, ks)
+        assert balanced > 0
+
+
 class TestPositiveNullvector:
     def test_simple_mixed_signs(self):
         x = positive_nullvector([[Fraction(1), Fraction(-2)]])
@@ -544,3 +574,9 @@ class TestPositiveNullvector:
     def test_empty_rows_all_free(self):
         x = positive_nullvector([], ncols=3)
         assert x is not None and all(v > 0 for v in x)
+
+
+def test_solver_answers_match_golden_file():
+    # the file was written by helpers.solver_golden_text() before the solver read its
+    # columns from a cache and built each weight from one int pair
+    assert solver_golden_text() == SOLVER_GOLDEN.read_text()

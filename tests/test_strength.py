@@ -22,7 +22,7 @@ from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
 from hyperoct.orbit import make_config
 from hyperoct.poly import Polynomial
-from hyperoct.solver import solve_t7
+from hyperoct.solver import solve_t5, solve_t7
 from hyperoct import strength
 from hyperoct.strength import (
     _EQUATIONS,
@@ -93,6 +93,17 @@ class TestPropertyG:
     def test_matches_reference_pair_loop(self):
         for n in range(1, 301):
             assert property_g(n) == reference_property_g(n), n
+
+    def test_the_diagonal_has_no_zero(self):
+        """G(n, k, k) = (n+2-3k)^2 + 6(k-1)^2 + 2(n-1) > 0 for n >= 2: property_g's test
+        k1 <= k2 may read k1 < k2.  It may not be dropped: G(4, 2, 0) = 0 is a zero at no
+        index, and n = 4 has no pair."""
+        def diff(n, k):
+            return g_function(n, k, k) - (n + 2 - 3 * k) ** 2 - 6 * (k - 1) ** 2 - 2 * (n - 1)
+
+        assert vanishes_identically(diff, (2, 2), (4, 1))
+        assert (4 + 2 - 3 * 2) * (4 + 2 - 3 * 0) + 6 * (2 - 1) * (0 - 1) + 2 * (4 - 1) == 0
+        assert property_g(4) is None and reference_property_g(4) is None
 
     # the n mod 3 law is checked against property_g up to here; the proofs hold for every n
     LAW_CHECKED_TO = 3000
@@ -217,6 +228,14 @@ class TestLayerSums:
         for n in range(1, 21):
             for k in range(1, n + 1):
                 assert layer_sum_f82(n, k) > 0
+
+    def test_pair_degree_eight_sum_positive_for_every_n(self):
+        """layer_sum_f82(n, k) = sum_m c_m 2^k C(n-m, k-m) over its support sums c_m (the
+        orbit-sum rule, tested above).  Every c_m is positive, every count is >= 0, and the
+        m = 1 count 2^k C(n-1, k-1) is positive for 1 <= k <= n, so the sum is positive for
+        every n and every orbit: with positive weights no union is a 9-design."""
+        sums = _EQUATIONS["f82"][0]  # {1: 2, 2: 14}
+        assert 1 in sums and all(c > 0 for c in sums.values())
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -380,6 +399,37 @@ class TestIntegerResiduals:
     @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_wide_configs_at_distinct_denominators(self, n):
         self._assert_reference(_wide_config(n, seed=n))
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_many_layers_at_shared_denominators(self, n):
+        # 60 layers whose r^2 and w share a few small denominators, so the layer
+        # denominators b (k q)^4 have large common factors
+        rng = random.Random(n)
+        layers = [
+            (k, Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 6))), Fraction(rng.randint(1, 30), rng.choice((1, 4, 9))))
+            for k in sorted(rng.sample(range(1, n + 1), 60))
+        ]
+        self._assert_reference(make_config(n, layers))
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_exact_zero_residuals(self, n):
+        # solved 5- and 7-designs: their defining residuals are exactly 0, and the verdict
+        # and the obstruction read the integer totals.  On one common radius every f42 and
+        # f63 residual is a multiple of a zero one, so f82 is the obstruction
+        m = (n + 2) // 3
+        cases = [
+            (solve_t5(n, (1, n), {1: Fraction(7, 3), n: Fraction(2, 9)}).solution, 5, "f42_s1"),
+            (solve_t7(n, (1, m, n), {1: Fraction(5, 4), m: Fraction(5, 4), n: Fraction(5, 4)}).solution, 7, "f82"),
+        ]
+        if n % 3 == 1:
+            # the balanced orbit zeroes every f42 residual
+            cases.append((make_config(n, [(m, Fraction(3, 7), Fraction(11, 2))]), 5, "f63_s0"))
+        for cfg, expected, obstruction in cases:
+            self._assert_reference(cfg)
+            report = classify(cfg)
+            assert (report.strength, report.nine_design_obstruction) == (expected, obstruction), (n, cfg.layers)
+            zero = ("f42_s0", "f42_s1", "f63_s0") if expected == 7 else ("f42_s0",)
+            assert all(report.residuals[eq] == 0 for eq in zero)
 
 
 def test_classify_and_oracle_match_golden_file():
