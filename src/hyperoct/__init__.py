@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "strength": (
         "StrengthReport", "classify", "g_function", "layer_sum_f42", "layer_sum_f63", "layer_sum_f82",
-        "layer_sum_f84", "orbit_sum", "property_g",
+        "layer_sum_f84", "property_g",
     ),
     "tight": ("FisherBound", "fisher_bound", "is_tight", "tight_5_3d", "tight_7_3d", "tight_7_4d", "tightness_certificate"),
 }

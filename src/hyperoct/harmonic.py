@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .numeric import _Frozen, binomial
+from .numeric import _ONE, _Frozen, binomial
 from .poly import Polynomial, _block_form, _integer_product, _IntegerForm, _sparse_monomial, _to_polynomial
-
-_ONE = Fraction(1)
 
 MAX_N = 6
 MAX_S = 8

@@ -37,10 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .numeric import as_rational, double_factorial, fraction_sum
+from .numeric import _ZERO, as_rational, double_factorial, fraction_sum
 from .orbit import DesignConfig, check_orbit, orbit_size
-
-_ZERO = Fraction(0)
 
 
 def _unit_sphere_average(n: int, exponents: Sequence[int]) -> tuple[int, int]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def binomial(n: int, k: int) -> int:
@@ -78,12 +79,12 @@ def format_rational(value: Fraction | int) -> str:
 class _Frozen:
     """Base of the package's immutable records, whose fields are the subclass's ``__slots__``.
 
-    Each subclass's ``__init__`` checks its arguments and stores every field with
-    ``object.__setattr__``; after that, assigning or deleting a field raises
-    AttributeError.  Equality (same class only), hash, repr, pickling and ``match``
-    follow the field tuple, so two records are equal, and hash equal, when their
-    fields are.  It imports nothing, so a CLI child that builds records pays for no
-    class generation and no import of ``inspect``.
+    Each subclass's ``__init__`` stores every field with ``object.__setattr__``, after
+    checking its arguments in ``Layer``, ``DesignConfig`` and ``Polynomial``; then
+    assigning or deleting a field raises AttributeError.  Equality (same class only),
+    hash, repr, pickling and ``match`` follow the field tuple, so two records are equal,
+    and hash equal, when their fields are.  It imports nothing, so a CLI child that
+    builds records pays for no class generation and no import of ``inspect``.
     """
 
     __slots__ = ()

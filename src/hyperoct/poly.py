@@ -14,12 +14,9 @@ import operator
 from fractions import Fraction
 from typing import Mapping
 
-from .numeric import _Frozen, as_rational
+from .numeric import _ONE, _ZERO, _Frozen, as_rational
 
 Monomial = tuple[tuple[int, int], ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def mono_degree(mono: Monomial) -> int:

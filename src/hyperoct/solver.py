@@ -17,11 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .numeric import _Frozen, as_rational, fraction_sum
+from .numeric import _ONE, _Frozen, as_rational, fraction_sum
 from .orbit import DesignConfig, Layer, orbit_index
 from .strength import _EQUATIONS, _reduced_sum, property_g
-
-_ONE = Fraction(1)
 
 
 class DegenerateRadiusSystem(ValueError):

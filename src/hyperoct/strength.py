@@ -1,14 +1,14 @@
 """Fast exact strength classification of orbit-union configurations.
 
-A fully symmetric configuration is always a 3-design.  Strength 5 and 7
-are decided by a handful of exact linear conditions on the orbit sums of
-the criterion polynomials of ``harmonic``, all given by one counting rule
-(``orbit_sum``), and strength 9 is impossible because the degree-8
-two-variable criterion sum is strictly positive on every orbit.  Each
-residual is summed in integers over the layers, on one common denominator
-per call, and reduced once.  The criterion orbit sums of a layer depend
-only on n and k, so ``classify`` reads them from a bounded cache keyed by
-(n, k), ``_criterion_sums``.
+A fully symmetric configuration is always a 3-design.  Strength 5 and 7 are
+decided by a handful of exact linear conditions on the orbit sums of the
+criteria of ``harmonic``, all given by one counting rule (over I^n_k, an
+all-even monomial on m variables sums to 2^k C(n-m, k-m), any other to 0), and
+strength 9 is impossible because the degree-8 two-variable criterion sum is
+strictly positive on every orbit.  Each residual is summed in integers over
+the layers, on one common denominator per call, and reduced once.  The
+criterion orbit sums of a layer depend only on n and k, so ``classify`` reads
+them from a bounded cache keyed by (n, k), ``_criterion_sums``.
 """
 
 from __future__ import annotations
@@ -16,13 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .numeric import _ZERO, _Frozen, binomial, format_rational
 from .orbit import DesignConfig, orbit_index
-
-if TYPE_CHECKING:
-    from .poly import Polynomial
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
@@ -68,43 +64,15 @@ def property_g(n: int) -> tuple[int, int] | None:
     return None
 
 
-# -- orbit sums of the criterion polynomials -------------------------
-
-
-def orbit_sum(poly: Polynomial, n: int, k: int) -> Fraction:
-    """Sum of poly over the unscaled orbit I^n_k, term by term.
-
-    A monomial whose m nonzero exponents are all even is 1 at the 2^k C(n-m, k-m)
-    points whose support covers its variables and 0 elsewhere; one with an odd
-    exponent sums to 0, as flipping that coordinate's sign maps the orbit onto
-    itself and negates it.  Only the exponents matter, not which variables carry them.
-    """
-    if poly.nvars > n:
-        raise ValueError(f"polynomial on {poly.nvars} variables has no orbit sum in dimension n={n}")
-    return Fraction(_grouped_sum(_support_sums(poly), n, k))
-
-
-def _support_sums(poly: Polynomial) -> dict[int, Fraction | int]:
-    """Coefficient totals of poly's all-even terms, keyed by their number of variables."""
-    sums: dict[int, Fraction] = {}
-    for mono, coeff in poly.terms.items():
-        if all(e % 2 == 0 for _, e in mono):
-            sums[len(mono)] = sums.get(len(mono), 0) + coeff
-    return {m: int(c) if c.denominator == 1 else c for m, c in sums.items()}
-
-
-def _grouped_sum(sums: dict[int, Fraction | int], n: int, k: int):
-    if not 1 <= orbit_index(k) <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return 2**k * sum(c * binomial(n - m, k - m) for m, c in sums.items())
+# -- orbit sums of the criteria --------------------------------------
 
 
 def _reduced_sum(sums: dict[int, int], n: int, k: int) -> int:
-    """``_grouped_sum`` divided by the positive 2^k C(n-1, k-1) / (n-1)_(M-1), M = max(sums); needs n >= M.
+    """G = sum c_m 2^k C(n-m, k-m) divided by the positive 2^k C(n-1, k-1) / (n-1)_(M-1), M = max(sums); needs n >= M.
 
     As C(n-m, k-m) = C(n-1, k-1) (k-1)_(m-1) / (n-1)_(m-1), with (x)_j the falling
-    factorial, this is sum c_m (k-1)_(m-1) (n-m)_(M-m): a polynomial in n and k
-    with no 2^k, so it stays small for any k.
+    factorial, this is sum c_m (k-1)_(m-1) (n-m)_(M-m): of degree at most M - 1 in n
+    and in k, with no 2^k, so it stays small for any k.
     """
     top = max(sums)
     return sum(c * math.perm(k - 1, m - 1) * math.perm(n - m, top - m) for m, c in sums.items())
@@ -112,8 +80,8 @@ def _reduced_sum(sums: dict[int, int], n: int, k: int) -> int:
 
 # The defining equations in canonical order: each criterion's support sums, the power of
 # r^2/k that scales them, and its residual ids, the i-th of which also weights each layer
-# by (r^2)^i.  The sums are ``_support_sums`` of ``harmonic.criterion_f42`` .. ``_f84``,
-# written out so that importing this module builds no polynomial (a test recomputes them).
+# by (r^2)^i.  The sums, the coefficient totals of the all-even terms of each criterion by
+# number of variables, are written out so that importing this module expands no criterion.
 # A criterion whose largest support exceeds n has no embedding (f84, n = 3).
 _EQUATIONS = {
     "f42": ({1: 2, 2: -6}, 2, ("f42_s0", "f42_s1", "f42_s2")),
@@ -126,26 +94,35 @@ _LARGEST_SUPPORT = max(max(sums) for sums, _, _ in _EQUATIONS.values())
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 
 
+def _layer_sum(row: int, n: int, k: int) -> int:
+    """``_criterion_sums(n, k)[row]``, with a cold call's checks made before the cache lookup."""
+    if type(n) is not int:
+        raise ValueError(f"dimension n must be an int, got {n!r}")
+    if not 1 <= orbit_index(k) <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return _criterion_sums(n, k)[row]
+
+
 def layer_sum_f42(n: int, k: int) -> int:
     """Sum of x1^4 - 6 x1^2 x2^2 + x2^4 over the unscaled orbit."""
-    return _grouped_sum(_EQUATIONS["f42"][0], n, k)
+    return _layer_sum(0, n, k)
 
 
 def layer_sum_f63(n: int, k: int) -> int:
     """Orbit sum of the degree-6 three-variable criterion."""
-    return _grouped_sum(_EQUATIONS["f63"][0], n, k)
+    return _layer_sum(1, n, k)
 
 
 def layer_sum_f82(n: int, k: int) -> int:
     """Orbit sum of the degree-8 pair criterion; strictly positive for all k."""
-    return _grouped_sum(_EQUATIONS["f82"][0], n, k)
+    return _layer_sum(2, n, k)
 
 
 def layer_sum_f84(n: int, k: int) -> int:
     """Orbit sum of the degree-8 four-variable criterion."""
     if n < 4:
         raise ValueError("the four-variable criterion needs n >= 4")
-    return _grouped_sum(_EQUATIONS["f84"][0], n, k)
+    return _layer_sum(3, n, k)
 
 
 class StrengthReport(_Frozen):
@@ -174,24 +151,24 @@ class StrengthReport(_Frozen):
 
 def _orbit_counts(n: int, k: int) -> list[int]:
     """2^k C(n-m, k-m), the orbit sum of an all-even monomial on m variables, for
-    m = 1..min(n, _LARGEST_SUPPORT), 1 <= k <= n: one binomial, then each entry from
-    the one before, as C(n-m-1, k-m-1) = C(n-m, k-m) (k-m) / (n-m) exactly."""
+    m = 1.._LARGEST_SUPPORT, 1 <= k <= n: one binomial, then each entry from the one
+    before, as C(n-m-1, k-m-1) = C(n-m, k-m) (k-m) / (n-m) exactly; 0 for m > k."""
     counts = [2**k * binomial(n - 1, k - 1)]
-    for m in range(1, min(n, _LARGEST_SUPPORT)):
-        counts.append(counts[-1] * (k - m) // (n - m))
+    for m in range(1, _LARGEST_SUPPORT):
+        counts.append(counts[-1] * (k - m) // (n - m) if m < k else 0)
     return counts
 
 
-# design-scan's classify requests reach every (n, k) with 3 <= n <= 40, 817 keys.  An
-# entry's four ints have about k + log2 C(n, k) bits each: an entry, key included, takes
-# under 0.3 KB at n <= 40, 0.3 MB for all 1,024, and about 16 KB at n = 2 * 10^4,
-# k = 10^4, where 1,024 such entries would pin about 17 MB.
+# design-scan's classify requests reach every (n, k) with 3 <= n <= 40, 817 keys; the layer
+# sums fill this cache too, though no workload calls them.  An entry's four ints have about
+# k + log2 C(n-1, k-1) bits each: under 0.3 KB at n <= 40, key included.  k <= INDEX_CAP but
+# n is uncapped: at k = 10^4 an entry takes 16 KB at n = 2 * 10^4 and 0.3 MB at n = 10^20,
+# where 1,024 entries would pin 300 MB.
 @lru_cache(maxsize=1024)
 def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
     """The orbit sum G = sum c_m 2^k C(n-m, k-m) of each ``_EQUATIONS`` criterion on
-    I^n_k, in table order (``_grouped_sum``), from the one binomial of ``_orbit_counts``;
-    a count with m > n is 0."""
-    counts = _orbit_counts(n, k) + [0] * max(_LARGEST_SUPPORT - n, 0)
+    I^n_k, in table order, from the one binomial of ``_orbit_counts``."""
+    counts = _orbit_counts(n, k)
     return tuple(sum(c * counts[m - 1] for m, c in sums.items()) for sums, _, _ in _EQUATIONS.values())
 
 

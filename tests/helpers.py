@@ -27,7 +27,7 @@ from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, OrbitSizeError, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
 from hyperoct.solver import _five_design_rule, _seven_design_rule
-from hyperoct.strength import _EQUATIONS, _grouped_sum, g_function, layer_sum_f42, layer_sum_f63
+from hyperoct.strength import _EQUATIONS, g_function, layer_sum_f42, layer_sum_f63
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -78,6 +78,38 @@ def sphere_average_gamma_oracle(n: int, exponents, r_squared) -> Fraction:
     return Fraction(r_squared) ** (total // 2) * Fraction(int(expr.p), int(expr.q))
 
 
+# -- the orbit-sum rule, one binomial per support size --------------------------
+
+
+def support_sums(poly: Polynomial) -> dict[int, Fraction | int]:
+    """Coefficient totals of poly's all-even terms, keyed by their number of variables."""
+    sums: dict[int, Fraction] = {}
+    for mono, coeff in poly.terms.items():
+        if all(e % 2 == 0 for _, e in mono):
+            sums[len(mono)] = sums.get(len(mono), 0) + coeff
+    return {m: int(c) if c.denominator == 1 else c for m, c in sums.items()}
+
+
+def grouped_sum(sums: dict[int, Fraction | int], n: int, k: int):
+    """2^k sum c_m C(n-m, k-m) over the support sums c_m: one binomial per m."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return 2**k * sum(c * binomial(n - m, k - m) for m, c in sums.items())
+
+
+def orbit_sum(poly: Polynomial, n: int, k: int) -> Fraction:
+    """Sum of poly over the unscaled orbit I^n_k, term by term.
+
+    A monomial whose m nonzero exponents are all even is 1 at the 2^k C(n-m, k-m)
+    points whose support covers its variables and 0 elsewhere; one with an odd
+    exponent sums to 0, as flipping that coordinate's sign maps the orbit onto
+    itself and negates it.  Only the exponents matter, not which variables carry them.
+    """
+    if poly.nvars > n:
+        raise ValueError(f"polynomial on {poly.nvars} variables has no orbit sum in dimension n={n}")
+    return Fraction(grouped_sum(support_sums(poly), n, k))
+
+
 # -- the residuals summed term by term in Fractions -----------------------
 #
 # classify and the oracle sum each residual in integers and reduce it once;
@@ -92,7 +124,7 @@ def reference_classify_residuals(cfg: DesignConfig) -> dict[str, Fraction]:
         if max(sums) > cfg.n:
             continue
         terms = [
-            (layer.weight * (layer.r_squared / layer.k) ** scale * _grouped_sum(sums, cfg.n, layer.k), layer.r_squared)
+            (layer.weight * (layer.r_squared / layer.k) ** scale * grouped_sum(sums, cfg.n, layer.k), layer.r_squared)
             for layer in cfg.layers
         ]
         for power, eq in enumerate(eq_ids):

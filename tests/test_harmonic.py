@@ -169,6 +169,10 @@ class TestCriterionBasis:
         with pytest.raises(ValueError):
             criterion_basis(4, 10)
 
+    def test_rejects_a_dimension_below_three(self):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            criterion_basis(2, 4)
+
 
 class TestSkewSymmetry:
     def test_swap_negates(self):
@@ -204,6 +208,11 @@ class TestEmbed:
             embed(criterion_f42(), (3, 1), 4)
         with pytest.raises(ValueError):
             embed(criterion_f42(), (1, 5), 4)
+
+    def test_a_map_of_the_wrong_length_rejected(self):
+        for g in [(1,), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="must cover every variable"):
+                embed(criterion_f42(), g, 4)
 
 
 def test_matrix_rank_basics():

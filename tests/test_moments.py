@@ -65,6 +65,12 @@ class TestSphereAverage:
             with pytest.raises(ValueError):
                 sphere_monomial_average(3, exps, 1)
 
+    def test_rejects_a_dimension_below_two_and_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            sphere_monomial_average(1, (2,), 1)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            sphere_monomial_average(3, (-2, 4, 0), 1)
+
     def test_radius_scaling(self):
         base = sphere_monomial_average(3, (2, 2, 0), 1)
         assert sphere_monomial_average(3, (2, 2, 0), Fraction(9, 4)) == base * Fraction(81, 16)
@@ -207,11 +213,22 @@ def test_over_cap_orbit_raises_before_any_shortcut(exps):
         first_failure(cfg, 7)
 
 
+def test_an_orbit_over_the_cap_by_2_to_the_k_alone_is_refused_before_its_size():
+    # 2^25 alone exceeds POINT_CAP, so check_orbit refuses I^30_25 without forming C(30, 25)
+    assert 2**25 > POINT_CAP
+    with pytest.raises(OrbitSizeError, match=r"at least 2\^25 points"):
+        first_failure(make_config(30, [(25, 1, 1)]), 7)
+
+
 def test_more_exponents_than_coordinates_rejected():
     # a fourth exponent on I^3_3 names no coordinate; it is refused, not dropped
     with pytest.raises(ValueError, match="more than n=3"):
         _orbit_monomial_sum(3, 3, (2, 2, 2, 2))
     assert _orbit_monomial_sum(3, 3, (2, 2, 2)) == 8
+    cfg = make_config(3, [(3, 1, 1)])
+    for exps in [(2, 2, 2, 2), (2, 2)]:
+        with pytest.raises(ValueError, match="wrong number of variables"):
+            monomial_residual(cfg, exps)
 
 
 def test_negative_exponent_rejected():
@@ -401,6 +418,24 @@ class TestPartitionScan:
         monkeypatch.setattr(moments, "_partitions", recorded)
         assert max_strength_oracle(tight_7_4d(1, 2), 10**6) == 7
         assert max(built) == 8
+
+    def test_every_key_is_normalised(self, monkeypatch):
+        # parts and largest above the total change no partition; the recursion must keep
+        # them at most the total, or a table is cached again under keys that mean the same
+        calls = []
+        cached = moments._partitions
+
+        def recorded(total, parts, largest):
+            calls.append((total, parts, largest))
+            return cached(total, parts, largest)
+
+        cached.cache_clear()
+        monkeypatch.setattr(moments, "_partitions", recorded)
+        for cfg in (tight_7_4d(1, 2), make_config(9, [(1, 1, 1), (4, 1, 1)]), make_config(3, [(2, 1, 1)])):
+            first_failure(cfg, 12)
+        # the scan asks for one table per degree it reaches, 8 here; the rest are the recursion's
+        assert len(calls) > 8
+        assert [key for key in calls if not (0 <= key[1] <= key[0] and 0 <= key[2] <= key[0])] == []
 
     def test_the_table_does_not_grow_with_n(self):
         cached = moments._partitions

@@ -114,6 +114,8 @@ class TestLayerValidation:
             Layer(k=1, r_squared=Fraction(0), weight=Fraction(1))
         with pytest.raises(ValueError):
             Layer(k=1, r_squared=Fraction(1), weight=Fraction(-1))
+        with pytest.raises(ValueError, match="layer index k must be positive"):
+            Layer(k=0, r_squared=Fraction(1), weight=Fraction(1))
 
     def test_config_checks(self):
         with pytest.raises(ValueError):

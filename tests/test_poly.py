@@ -105,6 +105,8 @@ class TestGegenbauer:
     def test_rejects_bad_parameter(self):
         with pytest.raises(ValueError):
             gegenbauer(2, Fraction(-3, 2))
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            gegenbauer(-1, 1)
 
     def test_matches_rodrigues_formula(self):
         # the scale of every coefficient, not only the shape, feeds the rendered bases
@@ -179,6 +181,27 @@ class TestArithmetic:
     def test_mixed_nvars_rejected(self):
         with pytest.raises(ValueError):
             x(1, 2) + x(1, 3)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            x(1, 2) ** -1
+
+    @pytest.mark.parametrize("nvars, terms, message", [
+        (-1, {}, "nvars must be non-negative"),
+        (2, {((3, 2),): 1}, r"variable x3 out of range 1\.\.2"),
+        (2, {((0, 2),): 1}, r"variable x0 out of range 1\.\.2"),
+        (2, {((1, 0),): 1}, "stored exponents must be positive"),
+        (2, {((1, -2),): 1}, "stored exponents must be positive"),
+    ])
+    def test_malformed_polynomial_rejected(self, nvars, terms, message):
+        with pytest.raises(ValueError, match=message):
+            Polynomial(nvars, terms)
+
+    def test_rename_needs_an_injective_map_of_every_variable(self):
+        with pytest.raises(ValueError, match="must be injective"):
+            criterion_f42().rename_variables({1: 2, 2: 2}, 4)
+        with pytest.raises(ValueError, match="variable x2 missing from mapping"):
+            criterion_f42().rename_variables({1: 3}, 4)
 
     def test_scalar_ops(self):
         p = Fraction(1, 2) * x(1, 1) - 1

@@ -84,6 +84,12 @@ class TestSolveT5:
         with pytest.raises(ValueError):
             solve_t5(5, {1, 2, 3})
 
+    def test_rejects_a_small_dimension_and_an_empty_index_set(self):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            solve_t5(2, {1})
+        with pytest.raises(ValueError, match="J must be nonempty"):
+            solve_t5(5, set())
+
     def test_radius_for_missing_index_rejected(self):
         with pytest.raises(ValueError):
             solve_t5(4, {1, 4}, {2: 1})
@@ -401,8 +407,9 @@ class TestReducedColumns:
                 assert _seven_design_rule(sa, sb, p) == _seven_design_rule(a, b, p), (a, b, p, per_index)
 
     def test_the_solver_never_builds_a_full_scale_orbit_sum(self, monkeypatch):
-        """With ``strength._grouped_sum`` disabled, every solver entry point still gives
-        the same answers for 3 <= n <= 40: it reads only the reduced columns."""
+        """With ``strength._criterion_sums`` emptied and ``strength._orbit_counts`` disabled,
+        every solver entry point still gives the same answers for 3 <= n <= 40: it reads
+        only the reduced columns."""
         def answers():
             out = []
             for n in range(3, 41):
@@ -427,7 +434,8 @@ class TestReducedColumns:
         def disabled(*args):
             raise AssertionError("full-scale orbit sum")
 
-        monkeypatch.setattr(strength, "_grouped_sum", disabled)
+        strength._criterion_sums.cache_clear()
+        monkeypatch.setattr(strength, "_orbit_counts", disabled)
         with pytest.raises(AssertionError, match="full-scale"):
             strength.layer_sum_f42(3, 1)
         assert answers() == expected

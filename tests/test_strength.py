@@ -10,11 +10,15 @@ from helpers import (
     design_residual,
     enumerated_layer_sum,
     enumerated_monomial_sum,
+    grouped_sum,
+    orbit_sum,
+    p_value,
     random_configs,
     reference_classify_residuals,
     reference_property_g,
     squared_radius_polynomial,
     strength_golden_text,
+    support_sums,
     vanishes_identically,
 )
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
@@ -27,16 +31,14 @@ from hyperoct import strength
 from hyperoct.strength import (
     _EQUATIONS,
     _criterion_sums,
-    _grouped_sum,
     _orbit_counts,
-    _support_sums,
+    _reduced_sum,
     classify,
     g_function,
     layer_sum_f42,
     layer_sum_f63,
     layer_sum_f82,
     layer_sum_f84,
-    orbit_sum,
     property_g,
 )
 
@@ -89,6 +91,10 @@ class TestPropertyG:
         for n in (1, 2, 5, 11, 50, 100):
             k1, k2 = property_g(n)
             assert g_function(n, k1, k2) == 0
+
+    def test_a_dimension_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            property_g(0)
 
     def test_matches_reference_pair_loop(self):
         for n in range(1, 301):
@@ -143,22 +149,22 @@ class TestLayerSums:
     ])
     def test_support_sum_tables_are_those_of_the_criteria(self, eq, criterion):
         # strength writes the tables out as literals, so its import builds no polynomial
-        assert _EQUATIONS[eq][0] == _support_sums(criterion())
+        assert _EQUATIONS[eq][0] == support_sums(criterion())
 
     def test_orbit_counts_step_from_one_binomial(self):
-        # classify takes C(n-m, k-m), m = 1..4, each from the one before, k <= m included
+        # classify takes C(n-m, k-m), m = 1..4, each from the one before, k <= m and n < m included
         for n in range(1, 41):
             for k in range(1, n + 1):
-                assert _orbit_counts(n, k) == [2**k * binomial(n - m, k - m) for m in range(1, min(n, 4) + 1)], (n, k)
+                assert _orbit_counts(n, k) == [2**k * binomial(n - m, k - m) for m in range(1, 5)], (n, k)
 
     def test_criterion_sums_are_the_grouped_sums_of_the_table(self):
         # classify's cached orbit sums per (n, k), in table order; a cached entry is shared
         # by every caller, so it must be an immutable tuple of ints
-        for n in range(3, 41):
+        for n in range(1, 41):
             for k in range(1, n + 1):
                 sums = _criterion_sums(n, k)
                 assert type(sums) is tuple and all(type(g) is int for g in sums), (n, k)
-                assert sums == tuple(_grouped_sum(row, n, k) for row, _, _ in _EQUATIONS.values()), (n, k)
+                assert sums == tuple(grouped_sum(row, n, k) for row, _, _ in _EQUATIONS.values()), (n, k)
 
     def test_a_warm_classify_computes_no_binomial(self, monkeypatch):
         def refuse(*args):
@@ -237,11 +243,35 @@ class TestLayerSums:
         sums = _EQUATIONS["f82"][0]  # {1: 2, 2: 14}
         assert 1 in sums and all(c > 0 for c in sums.values())
 
+    def test_pair_sum_has_the_sign_of_p_for_every_n(self):
+        """_reduced_sum(f42, n, k) = 2(n + 2 - 3k) for every n >= 2, k >= 1.  The f42 table
+        has M = 2, so each term c_m (k-1)_(m-1) (n-m)_(2-m) has degree m - 1 <= 1 in k and
+        2 - m <= 1 in n, as has the right side: agreement on a 3 x 3 grid proves it.  So
+        solver's column a_k = k _reduced_sum = 2k(n + 2 - 3k) for every n, and as
+        layer_sum_f42 is _reduced_sum times the positive 2^k C(n-1, k-1) / (n-1),
+        sign(layer_sum_f42) = sign(n + 2 - 3k) = sign(p_value), as p_value (n-1) = k(n + 2 - 3k)."""
+        sums = _EQUATIONS["f42"][0]
+        assert max(sums) == 2
+        assert vanishes_identically(lambda n, k: _reduced_sum(sums, n, k) - 2 * (n + 2 - 3 * k), (2, 2), (2, 1))
+        assert vanishes_identically(lambda n, k: p_value(n, k) * (n - 1) - k * (n + 2 - 3 * k), (1, 2), (2, 1))
+        for n in range(2, 41):
+            for k in range(1, n + 1):
+                assert layer_sum_f42(n, k) * (n - 1) == 2 ** (k + 1) * binomial(n - 1, k - 1) * (n + 2 - 3 * k), (n, k)
+
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 1 <= k <= n, got k=4, n=3"):
             layer_sum_f42(3, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 4"):
             layer_sum_f84(3, 2)
+
+    @pytest.mark.parametrize("n", [5.0, True, "5"])
+    def test_a_dimension_that_is_not_an_int_is_refused(self, n):
+        # checked before the cache: warm or cold, the same call gets the same answer
+        _criterion_sums(5, 1)
+        _criterion_sums(1, 1)
+        for layer_sum in (layer_sum_f42, layer_sum_f63, layer_sum_f82):
+            with pytest.raises(ValueError, match="dimension n must be an int"):
+                layer_sum(n, 1)
 
 
 class TestOrbitSumRule:
