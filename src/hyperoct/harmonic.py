@@ -13,7 +13,7 @@ import functools
 import itertools
 from typing import Iterator, Sequence
 
-from .numeric import _ONE, _Frozen, binomial
+from .numeric import _ONE, _Frozen, binomial, dimension
 from .poly import Polynomial, _block_form, _integer_product, _IntegerForm, _sparse_monomial, _to_polynomial
 
 MAX_N = 6
@@ -81,8 +81,7 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
     are taken in the integer form of ``poly``, one common denominator over
     integer coefficients, and each finished element becomes a Polynomial once.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    dimension(n, 3)
     if s < 1:
         raise ValueError("need s >= 1")
     if n > MAX_N or s > MAX_S:
@@ -111,6 +110,7 @@ def fully_even_subset(basis: Sequence[BasisElement]) -> list[BasisElement]:
 
 def embed(f: Polynomial, g: Sequence[int], n: int) -> Polynomial:
     """Rename variable i of f to g[i-1]; g must be strictly increasing."""
+    dimension(n, 0)
     if len(g) != f.nvars:
         raise ValueError("embedding map must cover every variable of f")
     if any(a >= b for a, b in zip(g, g[1:])):
@@ -207,9 +207,7 @@ def criterion_basis(n: int, s: int) -> CriterionBasis:
     For n = 3 the four-variable seed has no embeddings and drops out,
     matching the vanishing C(n, 4) term in the dimension count.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n > MAX_N:
+    if dimension(n, 3) > MAX_N:
         raise ValueError(f"criterion basis capped at n <= {MAX_N}")
     if s == 2:
         elements = tuple(

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .numeric import _ZERO, as_rational, double_factorial, fraction_sum
+from .numeric import _ZERO, as_rational, dimension, double_factorial, fraction_sum
 from .orbit import DesignConfig, check_orbit, orbit_size
 
 
@@ -57,9 +57,7 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
     (r^2)^(|alpha|/2) * prod (a_i - 1)!! / prod_{j<|alpha|/2} (n + 2j).
     A squared radius that is not positive raises ValueError.
     """
-    if n < 2:
-        raise ValueError("sphere averages need n >= 2")
-    if len(exponents) != n:
+    if len(exponents) != dimension(n, 2):
         raise ValueError("monomial has wrong number of variables")
     r_squared = as_rational(r_squared)
     if r_squared <= 0:

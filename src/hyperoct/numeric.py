@@ -1,4 +1,4 @@
-"""Exact integer and rational primitives shared by every other module.
+"""Exact integer and rational primitives, and the dimension gate, shared by every other module.
 
 All certified quantities are Python ints or ``fractions.Fraction`` values;
 nothing in the certification path ever touches floating point.  Every other
@@ -14,6 +14,16 @@ from typing import Iterable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def dimension(n, least: int) -> int:
+    """n itself if it is an int of at least ``least``: the one gate of every public dimension,
+    run before any cache is read.  Any other type, bool included, or a smaller n raises ValueError."""
+    if type(n) is not int:
+        raise ValueError(f"dimension n must be an int, got {n!r}")
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+    return n
 
 
 def binomial(n: int, k: int) -> int:

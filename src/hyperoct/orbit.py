@@ -14,7 +14,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from .numeric import _Frozen, as_rational, binomial, format_rational
+from .numeric import _Frozen, as_rational, binomial, dimension, format_rational
 
 POINT_CAP = 10**6
 # The most integers, n per point, that one enumerated orbit may hold: a wide orbit
@@ -39,9 +39,9 @@ class ConfigError(ValueError):
 
 def orbit_size(n: int, k: int) -> int:
     """Number of vectors with exactly k nonzero entries, each +-1."""
-    if n < 0 or orbit_index(k) < 0:
+    if orbit_index(k) < 0:
         raise ValueError(f"need n, k >= 0, got k={k}, n={n}")
-    return 2**k * binomial(n, k)
+    return 2**k * binomial(dimension(n, 0), k)
 
 
 def orbit_index(k) -> int:
@@ -116,10 +116,7 @@ class DesignConfig(_Frozen):
         for i, layer in enumerate(layers):
             if not isinstance(layer, Layer):
                 raise TypeError(f"layers[{i}] is not a Layer: {layer!r}")
-        if type(n) is not int:
-            raise ValueError(f"dimension n must be an int, got {n!r}")
-        if n < 3:
-            raise ValueError("configurations require n >= 3")
+        dimension(n, 3)
         layers = tuple(sorted(layers, key=lambda l: l.k))
         ks = [layer.k for layer in layers]
         if len(set(ks)) != len(ks):

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping
 
-from .numeric import _ONE, _ZERO, _Frozen, as_rational
+from .numeric import _ONE, _ZERO, _Frozen, as_rational, dimension
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -262,4 +262,4 @@ def building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
     Gegenbauer coefficients guarantees only even powers of r^2 occur, so
     the result is a genuine polynomial, homogeneous of degree m_k - m_k1.
     """
-    return _to_polynomial(_block_form(k, m_k, m_k1, n), n)
+    return _to_polynomial(_block_form(k, m_k, m_k1, dimension(n, 0)), n)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .numeric import _ONE, _Frozen, as_rational, fraction_sum
+from .numeric import _ONE, _Frozen, as_rational, dimension, fraction_sum
 from .orbit import DesignConfig, Layer, orbit_index
 from .strength import _EQUATIONS, _reduced_sum, property_g
 
@@ -57,8 +57,7 @@ def _radius_map(J: Sequence[int], r_squared) -> dict[int, Fraction]:
 
 
 def _validate(n: int, J: Sequence[int]) -> list[int]:
-    if n < 3:
-        raise ValueError("need n >= 3")
+    dimension(n, 3)
     ks = sorted({orbit_index(k) for k in J})
     if not ks:
         raise ValueError("J must be nonempty")
@@ -280,13 +279,6 @@ def _seven_design_rule(a: Sequence[int], b: Sequence[int], p: int) -> bool:
 SCAN_CAP = 10**7
 
 
-def _check_scan(n: int) -> None:
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n > SCAN_CAP:
-        raise ValueError(f"need n <= {SCAN_CAP} for the linear property-G scan, got n={n}")
-
-
 def _candidates(n: int) -> list[tuple[int, ...]]:
     """The index sets that decide every tau(p, j) for n >= 3 (see ``tau``)."""
     # 2 <= m <= n - 1 for every n >= 3, so (1, m, n) has three distinct indices:
@@ -341,6 +333,7 @@ def _tau(columns: list[tuple[list[int], list[int]]], p: int, j: int) -> int:
 
 def tau_table(n: int) -> dict[tuple[int, int], int]:
     """All tau(p, j) values for 1 <= p <= j <= 3."""
-    _check_scan(n)
+    if dimension(n, 3) > SCAN_CAP:
+        raise ValueError(f"need n <= {SCAN_CAP} for the linear property-G scan, got n={n}")
     columns = [_columns(n, J) for J in _candidates(n)]
     return {(p, j): _tau(columns, p, j) for j in range(1, 4) for p in range(1, j + 1)}

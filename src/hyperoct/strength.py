@@ -17,20 +17,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .numeric import _ZERO, _Frozen, binomial, format_rational
+from .numeric import _ZERO, _Frozen, binomial, dimension, format_rational
 from .orbit import DesignConfig, orbit_index
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
     """The quadratic form whose zeros govern two-orbit 7-designs.
 
-    It forms no 2^k, so any int index 1 <= k <= n is accepted, above
+    n passes ``numeric.dimension`` with least 1, so G is always an exact int.  It
+    forms no 2^k, so any int index 1 <= k <= n is accepted, above
     ``orbit.INDEX_CAP`` too: every pair ``property_g`` returns can be re-checked.
     """
     for k in (k1, k2):
         if type(k) is not int:
             raise ValueError(f"orbit index must be an int, got {k!r}")
-    if not (1 <= k1 <= n and 1 <= k2 <= n):
+    if not (1 <= k1 <= dimension(n, 1) and 1 <= k2 <= n):
         raise ValueError("need 1 <= k1, k2 <= n")
     return (n + 2 - 3 * k1) * (n + 2 - 3 * k2) + 6 * (k1 - 1) * (k2 - 1) + 2 * (n - 1)
 
@@ -50,8 +51,7 @@ def property_g(n: int) -> tuple[int, int] | None:
     differently, from n = 4, 7 and 13 on.  Only k1 < k2 would do as well, as the
     diagonal G(n, k, k) = (n+2-3k)^2 + 6(k-1)^2 + 2(n-1) has no zero for n >= 2.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    dimension(n, 1)
     slope, base = 3 - 3 * n, (n - 1) * (n + 4)
     for k1 in range(1, (n + 2) // 3 + 1):
         if slope == 0:
@@ -96,9 +96,7 @@ EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 
 def _layer_sum(row: int, n: int, k: int) -> int:
     """``_criterion_sums(n, k)[row]``, with a cold call's checks made before the cache lookup."""
-    if type(n) is not int:
-        raise ValueError(f"dimension n must be an int, got {n!r}")
-    if not 1 <= orbit_index(k) <= n:
+    if not 1 <= orbit_index(k) <= dimension(n, 1):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return _criterion_sums(n, k)[row]
 
@@ -120,9 +118,7 @@ def layer_sum_f82(n: int, k: int) -> int:
 
 def layer_sum_f84(n: int, k: int) -> int:
     """Orbit sum of the degree-8 four-variable criterion."""
-    if n < 4:
-        raise ValueError("the four-variable criterion needs n >= 4")
-    return _layer_sum(3, n, k)
+    return _layer_sum(3, dimension(n, 4), k)
 
 
 class StrengthReport(_Frozen):

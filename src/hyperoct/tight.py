@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numeric import _Frozen, as_rational, binomial
+from .numeric import _Frozen, as_rational, binomial, dimension
 from .orbit import DesignConfig, Layer, OrbitSizeError
 
 if TYPE_CHECKING:
@@ -48,6 +48,7 @@ def fisher_bound(n: int, p: int, t: int) -> FisherBound:
     """Minimum size of an antipodal t-design on p concentric spheres."""
     if n < 2 or p < 1 or t < 0:
         raise ValueError("need n >= 2, p >= 1, t >= 0")
+    dimension(n, 2)
     per_k = []
     for k in range(1, p + 1):
         per_k.append(

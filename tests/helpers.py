@@ -15,6 +15,7 @@ import json
 import math
 import random
 import shlex
+import sys
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +27,14 @@ from hyperoct.moments import OracleFailure, first_failure, monomial_residual, mo
 from hyperoct.numeric import binomial
 from hyperoct.orbit import DesignConfig, OrbitSizeError, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, gegenbauer, mono_degree
-from hyperoct.solver import _five_design_rule, _seven_design_rule
-from hyperoct.strength import _EQUATIONS, g_function, layer_sum_f42, layer_sum_f63
+from hyperoct.solver import (
+    _five_design_rule, _seven_design_rule, five_design_possible, seven_design_possible, solve_radius_Q, solve_t5,
+    solve_t7, tau, tau_table,
+)
+from hyperoct.strength import (
+    _EQUATIONS, classify, g_function, layer_sum_f42, layer_sum_f63, layer_sum_f82, layer_sum_f84, property_g,
+)
+from hyperoct.tight import fisher_bound
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -1080,6 +1087,75 @@ def solver_golden_text() -> str:
     for n in (*range(3, 301), 10**6, 10**7):
         lines.append(f"tau_table n={n}\t{' '.join(f'{p},{j}={v}' for (p, j), v in tau_table(n).items())}\n")
     return "".join(lines)
+
+
+# -- the same answer cold and warm ----------------------------------------------
+
+
+def clear_caches() -> None:
+    """Clear every lru_cache of every loaded hyperoct module, found by its cache_clear."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperoct."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+# Public entries with a cache under them or a dimension gate of their own, each with
+# the arguments that follow n, and dimensions both normal and hostile.
+PROBE_ENTRIES = (
+    (solve_t5, ([1, 2],)),
+    (solve_t7, ([1, 2],)),
+    (five_design_possible, ([1, 2],)),
+    (seven_design_possible, ([1, 2], 1)),
+    (solve_radius_Q, ([1, 2, 3], {1: 1, 2: 2})),
+    (tau, (1, 2)),
+    (tau_table, ()),
+    (layer_sum_f42, (1,)),
+    (layer_sum_f63, (1,)),
+    (layer_sum_f82, (1,)),
+    (layer_sum_f84, (1,)),
+    (g_function, (1, 2)),
+    (property_g, ()),
+    (orbit_size, (1,)),
+    (make_config, ([(1, 1, 1)],)),
+    (fisher_bound, (1, 5)),
+)
+PROBE_DIMENSIONS = (5, 5.0, True, 4, 7, 10**7, Fraction(5), 2, 0, -1)
+
+
+def _warm_history() -> None:
+    """A fixed run of calls that leaves solver columns at n = 4, 5 and 7 and classify's orbit sums at n = 5."""
+    tau_table(5)
+    solve_t7(5, [1, 2])
+    tau_table(7)
+    classify(make_config(5, [(1, 1, 1), (3, 2, Fraction(1, 2))]))
+    tau_table(4)
+
+
+def _outcome(entry, n, args) -> tuple:
+    """("value", the value), or the exception's type and message."""
+    try:
+        return "value", entry(n, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def cold_warm_differences() -> list[str]:
+    """Every probe call whose value, or exception type and message, differs between a
+    cold start (all caches cleared) and a start after ``_warm_history``; runs without pytest."""
+    differences = []
+    for entry, args in PROBE_ENTRIES:
+        for n in PROBE_DIMENSIONS:
+            clear_caches()
+            cold = _outcome(entry, n, args)
+            clear_caches()
+            _warm_history()
+            warm = _outcome(entry, n, args)
+            if cold != warm:
+                differences.append(f"{entry.__name__}{(n, *args)!r}: cold {cold!r}, warm {warm!r}")
+    clear_caches()
+    return differences
 
 
 if __name__ == "__main__":

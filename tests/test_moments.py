@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     PAPER_TABLE_N4_ERRATA_WITNESSES,
+    clear_caches,
     design_residual,
     enumerated_monomial_sum,
     random_configs,
@@ -298,7 +299,7 @@ class TestStrengthOracle:
 
         assert not hasattr(moments, "orbit_tuples")
         monkeypatch.setattr(orbit, "orbit_tuples", refuse)
-        moments._layer_residual.cache_clear()
+        clear_caches()
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
@@ -310,7 +311,7 @@ class TestStrengthOracle:
 
         design = solve_t7(14, (1, 6), {1: 1, 6: 1}).solution
         monkeypatch.setattr(itertools, "combinations", refuse)
-        moments._layer_residual.cache_clear()
+        clear_caches()
         failure = first_failure(design, 9)
         assert failure.degree == 8 and failure.exponents == (8,) + (0,) * 13
 
@@ -414,7 +415,7 @@ class TestPartitionScan:
             built.append(total)
             return cached(total, parts, largest)
 
-        cached.cache_clear()
+        clear_caches()
         monkeypatch.setattr(moments, "_partitions", recorded)
         assert max_strength_oracle(tight_7_4d(1, 2), 10**6) == 7
         assert max(built) == 8
@@ -429,7 +430,7 @@ class TestPartitionScan:
             calls.append((total, parts, largest))
             return cached(total, parts, largest)
 
-        cached.cache_clear()
+        clear_caches()
         monkeypatch.setattr(moments, "_partitions", recorded)
         for cfg in (tight_7_4d(1, 2), make_config(9, [(1, 1, 1), (4, 1, 1)]), make_config(3, [(2, 1, 1)])):
             first_failure(cfg, 12)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import hyperoct
+from helpers import cold_warm_differences
 from hyperoct.orbit import make_config
 
 SOURCE = Path(hyperoct.__file__).parent
@@ -155,6 +156,13 @@ def test_one_process_wide_cache():
         "hyperoct.moments._layer_residual", "hyperoct.moments._partitions", "hyperoct.solver._column",
         "hyperoct.strength._criterion_sums",
     }
+
+
+def test_every_public_dimension_answers_the_same_cold_and_warm():
+    # sixteen entries at ten dimensions, normal and hostile, each called with every cache
+    # cleared and again after a fixed warm history: a cache keyed by n must never answer
+    # a call that the cold path refuses (Fraction(5) hashes like 5)
+    assert cold_warm_differences() == []
 
 
 def _referenced_names(node) -> Counter:

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     PROPERTY_G_LE_100,
     SOLVER_GOLDEN,
+    clear_caches,
     g_form_q_coefficients,
     g_form_seven_design_possible,
     g_form_sign_pattern,
@@ -434,7 +435,7 @@ class TestReducedColumns:
         def disabled(*args):
             raise AssertionError("full-scale orbit sum")
 
-        strength._criterion_sums.cache_clear()
+        clear_caches()
         monkeypatch.setattr(strength, "_orbit_counts", disabled)
         with pytest.raises(AssertionError, match="full-scale"):
             strength.layer_sum_f42(3, 1)
@@ -531,8 +532,9 @@ class TestTauForEveryN:
 
 
 class TestRuleFactsPinned:
-    """Two facts that make a mutant of ``_seven_design_rule`` give the same answers,
-    checked to a stated n, not proved for every n."""
+    """Two facts that make a mutant of ``_seven_design_rule`` give the same answers.
+    The second is proved for every n, with its loop kept as a spot check; the first
+    is checked to a stated n, not yet proved for every n."""
 
     def test_a_zero_kernel_entry_leaves_two_negative_ones(self):
         # so min(c) > 0 could read min(c) >= 0: no triple has c >= 0 with a zero entry
@@ -547,7 +549,15 @@ class TestRuleFactsPinned:
         assert zero_entry == 362
 
     def test_no_pair_with_a_zero_column_entry_is_parallel(self):
-        # so a[0] * a[1] < 0 could read <= 0: a zero a_k never has parallel columns
+        """So a[0] * a[1] < 0 could read <= 0: a zero a_k never has parallel columns.
+
+        a_k = 2k(n + 2 - 3k) (test_strength ``TestLayerSums``) is 0 iff n = 3k - 2, so k >= 2 for n >= 3,
+        and the other index j of the pair has a_j != 0.  There G(3k - 2, k, j) = 6(k - 1) j > 0,
+        so a1 b2 - a2 b1 = 12 (n + 8)(k1 - k2) G is nonzero for every n
+        (``test_pair_determinant_is_a_multiple_of_g``).
+        """
+        assert vanishes_identically(lambda k: _columns(3 * k - 2, [k])[0][0], (3,), (2,))
+        assert vanishes_identically(lambda k, j: g_function(3 * k - 2, k, j) - 6 * (k - 1) * j, (2, 1), (2, 1))
         balanced = 0
         for n in range(3, 60):
             for ks in itertools.combinations(range(1, n + 1), 2):

@@ -1,9 +1,11 @@
+import inspect
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import hyperoct
 from helpers import (
     PAPER_TABLE_N4_ERRATA_WITNESSES,
     STRENGTH_GOLDEN,
@@ -24,7 +26,7 @@ from helpers import (
 from hyperoct.harmonic import criterion_f42, criterion_f63, criterion_f82, criterion_f84, embed
 from hyperoct.moments import monomials_of_degree
 from hyperoct.numeric import binomial
-from hyperoct.orbit import make_config
+from hyperoct.orbit import Layer, make_config
 from hyperoct.poly import Polynomial
 from hyperoct.solver import solve_t5, solve_t7
 from hyperoct import strength
@@ -264,14 +266,59 @@ class TestLayerSums:
         with pytest.raises(ValueError, match="n >= 4"):
             layer_sum_f84(3, 2)
 
-    @pytest.mark.parametrize("n", [5.0, True, "5"])
+    # The other arguments of every public callable with a parameter n, each call valid at n = 5.
+    OTHER_ARGUMENTS = {
+        "DesignConfig": {"layers": (Layer(1, 1, 1),)},
+        "building_block_g": {"k": 0, "m_k": 2, "m_k1": 0},
+        "criterion_basis": {"s": 4},
+        "embed": {"f": Polynomial(1, {((1, 2),): 1}), "g": (2,)},
+        "fisher_bound": {"p": 1, "t": 5},
+        "five_design_possible": {"J": (1, 2)},
+        "full_basis": {"s": 2},
+        "g_function": {"k1": 1, "k2": 2},
+        "layer_sum_f42": {"k": 1},
+        "layer_sum_f63": {"k": 1},
+        "layer_sum_f82": {"k": 1},
+        "layer_sum_f84": {"k": 1},
+        "make_config": {"layers": [(1, 1, 1)]},
+        "orbit_size": {"k": 1},
+        "property_g": {},
+        "seven_design_possible": {"J": (1, 2), "p": 1},
+        "solve_radius_Q": {"ks": (1, 2, 3), "known": {1: 1, 2: 2}},
+        "solve_t5": {"J": (1, 2)},
+        "solve_t7": {"J": (1, 2)},
+        "sphere_monomial_average": {"exponents": (2, 0, 0, 0, 0), "r_squared": 1},
+        "tau": {"p": 1, "j": 2},
+        "tau_table": {},
+    }
+    UNGATED = {
+        "binomial": "its documented convention takes any arguments unchecked, out of range giving 0",
+        "CriterionBasis": "a result record, which stores its fields unchecked (README)",
+        "FisherBound": "a result record, which stores its fields unchecked (README)",
+    }
+
+    @pytest.mark.parametrize("n", [5.0, True, "5", pytest.param(Fraction(5), id="Fraction(5)")])
     def test_a_dimension_that_is_not_an_int_is_refused(self, n):
-        # checked before the cache: warm or cold, the same call gets the same answer
-        _criterion_sums(5, 1)
-        _criterion_sums(1, 1)
-        for layer_sum in (layer_sum_f42, layer_sum_f63, layer_sum_f82):
-            with pytest.raises(ValueError, match="dimension n must be an int"):
-                layer_sum(n, 1)
+        # one gate, numeric.dimension, before any cache: warm or cold, the same call gets the
+        # same answer.  fisher_bound tests n < 2 first, for the message its CLI row pins, so
+        # there True is out of range and a str cannot be compared
+        takes_n = {
+            name for name in hyperoct.__all__
+            if not (isinstance(value := getattr(hyperoct, name), type) and issubclass(value, BaseException))
+            and "n" in inspect.signature(value).parameters
+        }
+        assert takes_n == set(self.OTHER_ARGUMENTS) | set(self.UNGATED)
+        for name, others in self.OTHER_ARGUMENTS.items():
+            entry = getattr(hyperoct, name)
+            entry(n=5, **others)
+            if name == "fisher_bound" and n is True:
+                error, match = ValueError, "need n >= 2, p >= 1, t >= 0"
+            elif name == "fisher_bound" and n == "5":
+                error, match = TypeError, "not supported"
+            else:
+                error, match = ValueError, "dimension n must be an int"
+            with pytest.raises(error, match=match):
+                entry(n=n, **others)
 
 
 class TestOrbitSumRule:
