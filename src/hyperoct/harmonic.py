@@ -13,7 +13,7 @@ import functools
 import itertools
 from typing import Iterator, Sequence
 
-from .numeric import _ONE, _Frozen, binomial, dimension
+from .numeric import _ONE, _Frozen, binomial, dimension, integer
 from .poly import Polynomial, _block_form, _integer_product, _IntegerForm, _sparse_monomial, _to_polynomial
 
 MAX_N = 6
@@ -82,7 +82,7 @@ def full_basis(n: int, s: int) -> list[BasisElement]:
     integer coefficients, and each finished element becomes a Polynomial once.
     """
     dimension(n, 3)
-    if s < 1:
+    if integer(s, "degree s") < 1:
         raise ValueError("need s >= 1")
     if n > MAX_N or s > MAX_S:
         raise ValueError(f"full basis capped at n <= {MAX_N}, s <= {MAX_S}")
@@ -111,6 +111,7 @@ def fully_even_subset(basis: Sequence[BasisElement]) -> list[BasisElement]:
 def embed(f: Polynomial, g: Sequence[int], n: int) -> Polynomial:
     """Rename variable i of f to g[i-1]; g must be strictly increasing."""
     dimension(n, 0)
+    g = [integer(target, "embedding map entry") for target in g]
     if len(g) != f.nvars:
         raise ValueError("embedding map must cover every variable of f")
     if any(a >= b for a, b in zip(g, g[1:])):
@@ -209,7 +210,7 @@ def criterion_basis(n: int, s: int) -> CriterionBasis:
     """
     if dimension(n, 3) > MAX_N:
         raise ValueError(f"criterion basis capped at n <= {MAX_N}")
-    if s == 2:
+    if integer(s, "degree s") == 2:
         elements = tuple(
             Polynomial(n, {((i, 2),): _ONE, ((n, 2),): -_ONE}) for i in range(1, n)
         )

@@ -17,14 +17,14 @@ reading each even degree's partitions from a bounded cache,
 ``_partitions``, only when it reaches that degree; its key caps the part
 count at the degree, so it holds the same few tables at every n.
 The orbit sums use no binomial and no counting formula.  The one count
-read is the orbit size |O| = 2^k C(n, k), from ``orbit.orbit_size``, for
-the sphere side of a residual; ``strength`` never calls ``orbit_size`` or
-this module, which keeps the oracle independent of its closed forms.
+read is the orbit size |O| = 2^k C(n, k), returned by ``orbit.check_orbit``,
+for the sphere side of a residual; ``strength`` calls neither it nor this
+module, which keeps the oracle independent of its closed forms.
 Both sides of a residual are read at the partition of the exponents, their
 sorted nonzero entries.  A layer adds w (r^2)^h times a weight- and
 radius-free residual that depends only on n, k and the partition, so that
 layer residual is kept in a bounded cache, ``_layer_residual``: the orbit
-sum, ``orbit_size`` and the sphere average are read only on a miss.  The
+check, the orbit sum and the sphere average are taken only on a miss.  The
 scaled layer residuals are summed in integers and reduced once (see
 ``monomial_residual``).
 """
@@ -37,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .numeric import _ZERO, as_rational, dimension, double_factorial, fraction_sum
-from .orbit import DesignConfig, check_orbit, orbit_size
+from .numeric import _ZERO, as_rational, dimension, double_factorial, fraction_sum, integer
+from .orbit import DesignConfig, check_orbit
 
 
 def _unit_sphere_average(n: int, exponents: Sequence[int]) -> tuple[int, int]:
@@ -55,10 +55,11 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
 
     Zero if any exponent is odd; otherwise
     (r^2)^(|alpha|/2) * prod (a_i - 1)!! / prod_{j<|alpha|/2} (n + 2j).
-    A squared radius that is not positive raises ValueError.
+    A squared radius that is not positive, or an exponent total that is not an int, raises ValueError.
     """
     if len(exponents) != dimension(n, 2):
         raise ValueError("monomial has wrong number of variables")
+    degree = integer(sum(exponents), "exponent total")
     r_squared = as_rational(r_squared)
     if r_squared <= 0:
         raise ValueError("squared radius must be positive")
@@ -66,11 +67,11 @@ def sphere_monomial_average(n: int, exponents: Sequence[int], r_squared) -> Frac
         raise ValueError("exponents must be non-negative")
     if any(e % 2 for e in exponents):
         return _ZERO
-    return r_squared ** (sum(exponents) // 2) * Fraction(*_unit_sphere_average(n, exponents))
+    return r_squared ** (degree // 2) * Fraction(*_unit_sphere_average(n, exponents))
 
 
 def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
-    """Sum of x^alpha over the unscaled orbit points, checked against the caps first.
+    """Sum of x^alpha over the unscaled orbit points, whose caps the caller checks.
 
     Flipping the sign of a coordinate with an odd exponent maps the orbit
     onto itself and negates x^alpha, so the sum is 0.  Otherwise the 2^k sign
@@ -80,7 +81,6 @@ def _orbit_monomial_sum(n: int, k: int, exponents: tuple[int, ...]) -> int:
     in O(n k) integer steps.  Missing trailing exponents are 0; permuting the
     exponents leaves the sum unchanged.  More exponents than n raise ValueError.
     """
-    check_orbit(n, k)
     if len(exponents) > n:
         raise ValueError(f"monomial has {len(exponents)} exponents, more than n={n}")
     if any(e % 2 for e in exponents):
@@ -107,16 +107,17 @@ def _layer_residual(n: int, k: int, parts: tuple[int, ...]) -> tuple[int, int]:
     orbit size, sn/sd the unit-sphere average and h half the degree.
 
     parts is a partition (the sorted nonzero exponents), so the key depends on n, k and
-    the partition only.  The orbit is checked against the caps first (by the kernel);
-    an odd part gives (0, 1), as both sides vanish.
+    the partition only.  The orbit is checked against the caps first, once, by
+    ``check_orbit``, which also gives |O|; an odd part gives (0, 1), as both sides vanish.
     """
+    size = check_orbit(n, k)
     s = _orbit_monomial_sum(n, k, parts)
     for e in parts:
         if e % 2:
             return 0, 1
     half = sum(parts) // 2
     sn, sd = _unit_sphere_average(n, parts)
-    return s * sd - orbit_size(n, k) * k**half * sn, k**half * sd
+    return s * sd - size * k**half * sn, k**half * sd
 
 
 def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
@@ -127,17 +128,18 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
     any orbit sum.  Otherwise each layer's part of the residual is w (r^2)^h
     times its weight- and radius-free residual, which depends only on n, k and
     the partition of the exponents and is read from the bounded cache
-    ``_layer_residual``: the orbit sum, ``orbit_size`` and the unit-sphere
+    ``_layer_residual``: the orbit check, the orbit sum and the unit-sphere
     average are taken only on a miss.  Every layer's entry is read before the
     sum, so an orbit over the caps raises ``OrbitSizeError`` even when an odd
-    exponent makes both sides zero.
+    exponent makes both sides zero.  The exponent total passes ``numeric.integer``
+    first; a bool exponent, an exact 0 or 1, is accepted (see the README).
     """
     ordered = sorted(exponents)
+    degree = integer(sum(ordered), "exponent total")
     if len(ordered) != cfg.n:
         raise ValueError("monomial has wrong number of variables")
     if ordered[0] < 0:
         raise ValueError("exponents must be non-negative")
-    degree = sum(ordered)
     if degree % 2:
         return _ZERO
     n, half = cfg.n, degree // 2
@@ -204,11 +206,9 @@ def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
     so the key and the cache's size depend on the degree and not on n, and a
     degree's table is built only when the scan reaches it.  Every layer's
     orbit is checked against the caps before the scan.  A t_max that is not an
-    int, bool included, raises ValueError.
+    int (see ``numeric.integer``) raises ValueError.
     """
-    if type(t_max) is not int:
-        raise ValueError(f"t_max must be an int, got {t_max!r}")
-    if t_max < 0:
+    if integer(t_max, "t_max") < 0:
         raise ValueError(f"strength must be non-negative, got {t_max}")
     for layer in cfg.layers:
         check_orbit(cfg.n, layer.k)

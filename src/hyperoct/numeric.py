@@ -1,4 +1,4 @@
-"""Exact integer and rational primitives, and the dimension gate, shared by every other module.
+"""Exact integer and rational primitives, and the integer and dimension gates, shared by every other module.
 
 All certified quantities are Python ints or ``fractions.Fraction`` values;
 nothing in the certification path ever touches floating point.  Every other
@@ -16,12 +16,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def integer(value, name: str) -> int:
+    """value itself if it is an int; any other type, bool included, raises ValueError.  The one
+    type test of every public integer argument, run before its range test and any cache read."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def dimension(n, least: int) -> int:
-    """n itself if it is an int of at least ``least``: the one gate of every public dimension,
-    run before any cache is read.  Any other type, bool included, or a smaller n raises ValueError."""
-    if type(n) is not int:
-        raise ValueError(f"dimension n must be an int, got {n!r}")
-    if n < least:
+    """n itself if it is an int of at least ``least``: the one gate of every public dimension.
+    A smaller n raises ValueError, and so does any other type (see ``integer``)."""
+    if integer(n, "dimension n") < least:
         raise ValueError(f"need n >= {least}")
     return n
 
@@ -38,8 +44,8 @@ def binomial(n: int, k: int) -> int:
 
 
 def double_factorial(m: int) -> int:
-    """m!! for m >= -1, with (-1)!! = 1 (the empty product)."""
-    if m < -1:
+    """m!! for an int m >= -1, with (-1)!! = 1 (the empty product)."""
+    if integer(m, "m") < -1:
         raise ValueError(f"double factorial undefined for m={m}")
     result = 1
     while m > 1:

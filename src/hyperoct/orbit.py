@@ -14,7 +14,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from .numeric import _Frozen, as_rational, binomial, dimension, format_rational
+from .numeric import _Frozen, as_rational, binomial, dimension, format_rational, integer
 
 POINT_CAP = 10**6
 # The most integers, n per point, that one enumerated orbit may hold: a wide orbit
@@ -45,18 +45,16 @@ def orbit_size(n: int, k: int) -> int:
 
 
 def orbit_index(k) -> int:
-    """k itself if it is an int of at most INDEX_CAP; any other type, bool included,
-    raises ValueError instead of being truncated, and so does a larger k."""
-    if type(k) is not int:
-        raise ValueError(f"orbit index must be an int, got {k!r}")
-    if k > INDEX_CAP:
+    """k itself if it is an int (see ``numeric.integer``) of at most INDEX_CAP; a larger k
+    raises ValueError."""
+    if integer(k, "orbit index") > INDEX_CAP:
         raise ValueError(f"orbit index k={k} is above the cap {INDEX_CAP}")
     return k
 
 
-def check_orbit(n: int, k: int) -> None:
-    """Raise unless k is an orbit index with 1 <= k <= n, the orbit has at most
-    POINT_CAP points and its points hold at most COORDINATE_CAP integers."""
+def check_orbit(n: int, k: int) -> int:
+    """The orbit size, after checking that k is an orbit index with 1 <= k <= n, the orbit
+    has at most POINT_CAP points and its points hold at most COORDINATE_CAP integers."""
     if not 1 <= orbit_index(k) <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k >= POINT_CAP.bit_length():
@@ -67,6 +65,7 @@ def check_orbit(n: int, k: int) -> None:
         raise OrbitSizeError(f"orbit has {size} points, cap is {POINT_CAP}")
     if n * size > COORDINATE_CAP:
         raise OrbitSizeError(f"orbit has {size} points of {n} coordinates, cap is {COORDINATE_CAP} coordinates")
+    return size
 
 
 def orbit_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:

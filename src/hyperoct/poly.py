@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping
 
-from .numeric import _ONE, _ZERO, _Frozen, as_rational, dimension
+from .numeric import _ONE, _ZERO, _Frozen, as_rational, dimension, integer
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -41,7 +41,7 @@ class Polynomial(_Frozen):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
-        if nvars < 0:
+        if integer(nvars, "nvars") < 0:
             raise ValueError("nvars must be non-negative")
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
@@ -220,7 +220,7 @@ def gegenbauer(s: int, alpha: Fraction) -> GegenbauerPoly:
     j <= s-2 and alpha > -1.  Coefficients of the other parity stay 0.
     """
     alpha = as_rational(alpha)
-    if s < 0:
+    if integer(s, "degree") < 0:
         raise ValueError("degree must be non-negative")
     if alpha <= -1:
         raise ValueError("Gegenbauer parameter must exceed -1")
@@ -262,4 +262,5 @@ def building_block_g(k: int, m_k: int, m_k1: int, n: int) -> Polynomial:
     Gegenbauer coefficients guarantees only even powers of r^2 occur, so
     the result is a genuine polynomial, homogeneous of degree m_k - m_k1.
     """
+    k, m_k, m_k1 = integer(k, "block index k"), integer(m_k, "m_k"), integer(m_k1, "m_k1")
     return _to_polynomial(_block_form(k, m_k, m_k1, dimension(n, 0)), n)

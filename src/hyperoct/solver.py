@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .numeric import _ONE, _Frozen, as_rational, dimension, fraction_sum
+from .numeric import _ONE, _Frozen, as_rational, dimension, fraction_sum, integer
 from .orbit import DesignConfig, Layer, orbit_index
 from .strength import _EQUATIONS, _reduced_sum, property_g
 
@@ -253,7 +253,7 @@ def seven_design_possible(n: int, J, p: int) -> bool:
     a_k is nonzero.
     """
     ks = _validate(n, J)
-    if not 1 <= p <= len(ks):
+    if not 1 <= integer(p, "p") <= len(ks):
         raise ValueError("need 1 <= p <= |J|")
     if len(ks) > 3:
         raise ValueError("no closed-form criterion for |J| >= 4")
@@ -316,6 +316,7 @@ def tau(n: int, p: int, j: int) -> int:
       (mod 3), at p = 2, and (1, m', n) at p = 3, where m' = m - 1 when
       n = 1 (mod 3) and m' = m otherwise, for every n >= 5.
     """
+    p, j = integer(p, "p"), integer(j, "j")
     if not 1 <= p <= j <= 3:
         raise ValueError("need 1 <= p <= j <= 3")
     return tau_table(n)[(p, j)]

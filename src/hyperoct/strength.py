@@ -17,20 +17,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .numeric import _ZERO, _Frozen, binomial, dimension, format_rational
+from .numeric import _ZERO, _Frozen, binomial, dimension, format_rational, integer
 from .orbit import DesignConfig, orbit_index
 
 
 def g_function(n: int, k1: int, k2: int) -> int:
     """The quadratic form whose zeros govern two-orbit 7-designs.
 
-    n passes ``numeric.dimension`` with least 1, so G is always an exact int.  It
-    forms no 2^k, so any int index 1 <= k <= n is accepted, above
-    ``orbit.INDEX_CAP`` too: every pair ``property_g`` returns can be re-checked.
+    n passes ``numeric.dimension`` with least 1, and k1 and k2 ``numeric.integer``, so
+    G is always an exact int.  It forms no 2^k, so any int index 1 <= k <= n is accepted,
+    above ``orbit.INDEX_CAP`` too: every pair ``property_g`` returns can be re-checked.
     """
-    for k in (k1, k2):
-        if type(k) is not int:
-            raise ValueError(f"orbit index must be an int, got {k!r}")
+    k1, k2 = integer(k1, "orbit index"), integer(k2, "orbit index")
     if not (1 <= k1 <= dimension(n, 1) and 1 <= k2 <= n):
         raise ValueError("need 1 <= k1, k2 <= n")
     return (n + 2 - 3 * k1) * (n + 2 - 3 * k2) + 6 * (k1 - 1) * (k2 - 1) + 2 * (n - 1)
@@ -68,14 +66,14 @@ def property_g(n: int) -> tuple[int, int] | None:
 
 
 def _reduced_sum(sums: dict[int, int], n: int, k: int) -> int:
-    """G = sum c_m 2^k C(n-m, k-m) divided by the positive 2^k C(n-1, k-1) / (n-1)_(M-1), M = max(sums); needs n >= M.
+    """G = sum c_m 2^k C(n-m, k-m) divided by the positive 2^k C(n-1, k-1) / (n-1)_(M-1), M = min(max(sums), n).
 
     As C(n-m, k-m) = C(n-1, k-1) (k-1)_(m-1) / (n-1)_(m-1), with (x)_j the falling
-    factorial, this is sum c_m (k-1)_(m-1) (n-m)_(M-m): of degree at most M - 1 in n
-    and in k, with no 2^k, so it stays small for any k.
+    factorial, this is sum c_m (k-1)_(m-1) (n-m)_(M-m) over m <= M, as a larger support
+    has no embedding: of degree at most M - 1 in n and in k, with no 2^k, so small for any k.
     """
-    top = max(sums)
-    return sum(c * math.perm(k - 1, m - 1) * math.perm(n - m, top - m) for m, c in sums.items())
+    top = min(max(sums), n)
+    return sum(c * math.perm(k - 1, m - 1) * math.perm(n - m, top - m) for m, c in sums.items() if m <= top)
 
 
 # The defining equations in canonical order: each criterion's support sums, the power of
@@ -89,8 +87,6 @@ _EQUATIONS = {
     "f82": ({1: 2, 2: 14}, 4, ("f82",)),
     "f84": ({1: 12, 2: -336, 3: 2520, 4: -3780}, 4, ("f84",)),
 }
-# the most variables a criterion monomial has: classify needs C(n-m, k-m) for m up to it
-_LARGEST_SUPPORT = max(max(sums) for sums, _, _ in _EQUATIONS.values())
 EQ_IDS_T7 = ("f42_s0", "f42_s1", "f63_s0")
 
 
@@ -145,16 +141,6 @@ class StrengthReport(_Frozen):
         }
 
 
-def _orbit_counts(n: int, k: int) -> list[int]:
-    """2^k C(n-m, k-m), the orbit sum of an all-even monomial on m variables, for
-    m = 1.._LARGEST_SUPPORT, 1 <= k <= n: one binomial, then each entry from the one
-    before, as C(n-m-1, k-m-1) = C(n-m, k-m) (k-m) / (n-m) exactly; 0 for m > k."""
-    counts = [2**k * binomial(n - 1, k - 1)]
-    for m in range(1, _LARGEST_SUPPORT):
-        counts.append(counts[-1] * (k - m) // (n - m) if m < k else 0)
-    return counts
-
-
 # design-scan's classify requests reach every (n, k) with 3 <= n <= 40, 817 keys; the layer
 # sums fill this cache too, though no workload calls them.  An entry's four ints have about
 # k + log2 C(n-1, k-1) bits each: under 0.3 KB at n <= 40, key included.  k <= INDEX_CAP but
@@ -163,9 +149,12 @@ def _orbit_counts(n: int, k: int) -> list[int]:
 @lru_cache(maxsize=1024)
 def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
     """The orbit sum G = sum c_m 2^k C(n-m, k-m) of each ``_EQUATIONS`` criterion on
-    I^n_k, in table order, from the one binomial of ``_orbit_counts``."""
-    counts = _orbit_counts(n, k)
-    return tuple(sum(c * counts[m - 1] for m, c in sums.items()) for sums, _, _ in _EQUATIONS.values())
+    I^n_k, in table order: ``_reduced_sum`` times its positive factor, one binomial."""
+    factor = 2**k * binomial(n - 1, k - 1)
+    return tuple(
+        factor * _reduced_sum(sums, n, k) // math.perm(n - 1, min(max(sums), n) - 1)
+        for sums, _, _ in _EQUATIONS.values()
+    )
 
 
 # classify's terms.  A layer's term w (r^2/k)^scale (r^2)^power G, with r^2 = p/q,

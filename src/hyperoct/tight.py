@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numeric import _Frozen, as_rational, binomial, dimension
+from .numeric import _Frozen, as_rational, binomial, integer
 from .orbit import DesignConfig, Layer, OrbitSizeError
 
 if TYPE_CHECKING:
@@ -46,9 +46,9 @@ class FisherBound(_Frozen):
 
 def fisher_bound(n: int, p: int, t: int) -> FisherBound:
     """Minimum size of an antipodal t-design on p concentric spheres."""
+    n, p, t = integer(n, "dimension n"), integer(p, "p"), integer(t, "t")
     if n < 2 or p < 1 or t < 0:
         raise ValueError("need n >= 2, p >= 1, t >= 0")
-    dimension(n, 2)
     per_k = []
     for k in range(1, p + 1):
         per_k.append(

@@ -22,11 +22,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from hyperoct.harmonic import BasisElement, embed
+from hyperoct.harmonic import BasisElement, criterion_basis, embed, full_basis
 from hyperoct.moments import OracleFailure, first_failure, monomial_residual, monomials_of_degree, sphere_monomial_average
-from hyperoct.numeric import binomial
+from hyperoct.numeric import binomial, double_factorial
 from hyperoct.orbit import DesignConfig, OrbitSizeError, check_orbit, make_config, orbit_size, orbit_tuples
-from hyperoct.poly import Polynomial, gegenbauer, mono_degree
+from hyperoct.poly import Polynomial, building_block_g, gegenbauer, mono_degree
 from hyperoct.solver import (
     _five_design_rule, _seven_design_rule, five_design_possible, seven_design_possible, solve_radius_Q, solve_t5,
     solve_t7, tau, tau_table,
@@ -34,7 +34,7 @@ from hyperoct.solver import (
 from hyperoct.strength import (
     _EQUATIONS, classify, g_function, layer_sum_f42, layer_sum_f63, layer_sum_f82, layer_sum_f84, property_g,
 )
-from hyperoct.tight import fisher_bound
+from hyperoct.tight import fisher_bound, tight_7_4d
 
 # The published list of integers up to 100 whose G form has a zero.
 PROPERTY_G_LE_100 = [
@@ -1124,19 +1124,27 @@ PROBE_ENTRIES = (
 PROBE_DIMENSIONS = (5, 5.0, True, 4, 7, 10**7, Fraction(5), 2, 0, -1)
 
 
+# A tight 48-point 7-design in R^4 (the oracle's warm history scans it to degree 9), and
+# exponent tuples whose total hashes like the int 2 of a cached layer residual.
+PROBE_CONFIG = tight_7_4d(1, 2, 1)
+PROBE_EXPONENTS = ((2.0, 0, 0, 0), (Fraction(2), 0, 0, 0), (2, 0, 0, 0))
+
+
 def _warm_history() -> None:
-    """A fixed run of calls that leaves solver columns at n = 4, 5 and 7 and classify's orbit sums at n = 5."""
+    """A fixed run of calls that leaves solver columns at n = 4, 5 and 7, classify's orbit
+    sums at n = 5 and the oracle's layer residuals of ``PROBE_CONFIG``."""
     tau_table(5)
     solve_t7(5, [1, 2])
     tau_table(7)
     classify(make_config(5, [(1, 1, 1), (3, 2, Fraction(1, 2))]))
     tau_table(4)
+    first_failure(PROBE_CONFIG, 9)
 
 
-def _outcome(entry, n, args) -> tuple:
+def _outcome(entry, args) -> tuple:
     """("value", the value), or the exception's type and message."""
     try:
-        return "value", entry(n, *args)
+        return "value", entry(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -1144,18 +1152,57 @@ def _outcome(entry, n, args) -> tuple:
 def cold_warm_differences() -> list[str]:
     """Every probe call whose value, or exception type and message, differs between a
     cold start (all caches cleared) and a start after ``_warm_history``; runs without pytest."""
+    calls = [(entry, (n, *args)) for entry, args in PROBE_ENTRIES for n in PROBE_DIMENSIONS]
+    calls += [(monomial_residual, (PROBE_CONFIG, exponents)) for exponents in PROBE_EXPONENTS]
     differences = []
-    for entry, args in PROBE_ENTRIES:
-        for n in PROBE_DIMENSIONS:
-            clear_caches()
-            cold = _outcome(entry, n, args)
-            clear_caches()
-            _warm_history()
-            warm = _outcome(entry, n, args)
-            if cold != warm:
-                differences.append(f"{entry.__name__}{(n, *args)!r}: cold {cold!r}, warm {warm!r}")
+    for entry, args in calls:
+        clear_caches()
+        cold = _outcome(entry, args)
+        clear_caches()
+        _warm_history()
+        warm = _outcome(entry, args)
+        if cold != warm:
+            differences.append(f"{entry.__name__}{args!r}: cold {cold!r}, warm {warm!r}")
     clear_caches()
     return differences
+
+
+# One call per integer argument of the public API, and per monomial exponent, each valid
+# with v = 2 and called with values that are not ints.  The signature walk in test_strength
+# covers every named parameter; this probe adds embed's map entries and the exponents.
+INTEGER_PROBE = {
+    "tau(5, v, 2)": lambda v: tau(5, v, 2),
+    "tau(5, 1, v)": lambda v: tau(5, 1, v),
+    "seven_design_possible(5, [1, 3], v)": lambda v: seven_design_possible(5, [1, 3], v),
+    "fisher_bound(5, v, 5)": lambda v: fisher_bound(5, v, 5),
+    "fisher_bound(5, 1, v)": lambda v: fisher_bound(5, 1, v),
+    "full_basis(3, v)": lambda v: full_basis(3, v),
+    "criterion_basis(3, v)": lambda v: criterion_basis(3, v),
+    "gegenbauer(v, 1)": lambda v: gegenbauer(v, 1),
+    "building_block_g(v, 2, 0, 5)": lambda v: building_block_g(v, 2, 0, 5),
+    "building_block_g(0, v, 0, 5)": lambda v: building_block_g(0, v, 0, 5),
+    "building_block_g(0, 2, v, 5)": lambda v: building_block_g(0, 2, v, 5),
+    "embed(x1^2, (v,), 5)": lambda v: embed(Polynomial(1, {((1, 2),): 1}), (v,), 5),
+    "Polynomial(v, {})": lambda v: Polynomial(v, {}),
+    "double_factorial(v)": double_factorial,
+    "monomial_residual(tight_7_4d(1, 2, 1), (v, v, 0, 0))": lambda v: monomial_residual(PROBE_CONFIG, (v, v, 0, 0)),
+    "sphere_monomial_average(4, (v, v, 0, 0), 1)": lambda v: sphere_monomial_average(4, (v, v, 0, 0), 1),
+    "first_failure(tight_7_4d(1, 2, 1), v)": lambda v: first_failure(PROBE_CONFIG, v),
+    "g_function(5, v, 3)": lambda v: g_function(5, v, 3),
+}
+NOT_INTS = (2.0, Fraction(2), True)
+
+
+def integer_probe() -> list[str]:
+    """Every ``INTEGER_PROBE`` call with a value of ``NOT_INTS`` that does not raise
+    ValueError, with what it did instead; runs without pytest."""
+    accepted = []
+    for label, call in INTEGER_PROBE.items():
+        for v in NOT_INTS:
+            kind, detail = _outcome(call, (v,))
+            if kind == "value" or not issubclass(kind, ValueError):
+                accepted.append(f"{label} with v={v!r}: {kind!r} {detail!r}")
+    return accepted
 
 
 if __name__ == "__main__":

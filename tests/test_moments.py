@@ -204,9 +204,9 @@ def test_layer_residual_entries_are_tuples_of_ints():
 def test_over_cap_orbit_raises_before_any_shortcut(exps):
     # I^20_10 has 2^10 * C(20, 10) = 189,190,144 points
     assert orbit_size(20, 10) > POINT_CAP
-    exps = exps + (0,) * (20 - len(exps))
     with pytest.raises(OrbitSizeError):
-        _orbit_monomial_sum(20, 10, exps)
+        moments._layer_residual(20, 10, tuple(sorted(e for e in exps if e)))
+    exps = exps + (0,) * (20 - len(exps))
     cfg = make_config(20, [(1, 1, 1), (10, 1, 1)])
     with pytest.raises(OrbitSizeError):
         monomial_residual(cfg, exps)

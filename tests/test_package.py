@@ -1,6 +1,6 @@
 """Guards on the package as a whole: standard-library imports only, no unused import,
-a pinned export list, the modules each CLI command loads, a pinned set of process-wide caches, and
-no public name that only the tests reach."""
+a pinned export list, the modules each CLI command loads, a pinned set of process-wide caches, one
+int rule for every public integer argument, and no public name that only the tests reach."""
 
 import ast
 import importlib
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import hyperoct
-from helpers import cold_warm_differences
+from helpers import cold_warm_differences, integer_probe
 from hyperoct.orbit import make_config
 
 SOURCE = Path(hyperoct.__file__).parent
@@ -159,10 +159,47 @@ def test_one_process_wide_cache():
 
 
 def test_every_public_dimension_answers_the_same_cold_and_warm():
-    # sixteen entries at ten dimensions, normal and hostile, each called with every cache
-    # cleared and again after a fixed warm history: a cache keyed by n must never answer
-    # a call that the cold path refuses (Fraction(5) hashes like 5)
+    # sixteen entries at ten dimensions, normal and hostile, and monomial_residual at three
+    # exponent tuples, each called with every cache cleared and again after a fixed warm
+    # history: a cache must never answer a call that the cold path refuses (Fraction(5)
+    # hashes like 5, and (2.0, 0, 0, 0) sorts and hashes like (2, 0, 0, 0))
     assert cold_warm_differences() == []
+
+
+def test_no_integer_argument_answers_a_float_a_fraction_or_a_bool():
+    # every probe call raises ValueError for 2.0, Fraction(2) and True, but for the documented
+    # exception: a bool exponent is an exact 0 or 1, and testing each exponent costs a warm
+    # monomial_residual about 7% (README)
+    assert [line.partition(":")[0] for line in integer_probe()] == [
+        "monomial_residual(tight_7_4d(1, 2, 1), (v, v, 0, 0)) with v=True",
+        "sphere_monomial_average(4, (v, v, 0, 0), 1) with v=True",
+    ]
+
+
+def _is_int_type_test(node) -> bool:
+    """Whether node is a comparison ``type(...) is int`` or ``type(...) is not int``."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(other, ast.Name) and other.id == "int" for other in node.comparators)
+    )
+
+
+def test_the_int_rule_is_written_once():
+    # numeric.integer is the one type test of a public integer argument.  as_rational
+    # follows the rational rule and raises TypeError; _json_int raises the ConfigError
+    # that golden rows pin
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        # breadth first, so a nested function's name overwrites the one around it
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found |= {(path.stem, owner.get(id(node), "<module>")) for node in ast.walk(tree) if _is_int_type_test(node)}
+    assert found == {("numeric", "integer"), ("numeric", "as_rational"), ("orbit", "_json_int")}
 
 
 def _referenced_names(node) -> Counter:

@@ -408,7 +408,7 @@ class TestReducedColumns:
                 assert _seven_design_rule(sa, sb, p) == _seven_design_rule(a, b, p), (a, b, p, per_index)
 
     def test_the_solver_never_builds_a_full_scale_orbit_sum(self, monkeypatch):
-        """With ``strength._criterion_sums`` emptied and ``strength._orbit_counts`` disabled,
+        """With ``strength._criterion_sums`` emptied and disabled,
         every solver entry point still gives the same answers for 3 <= n <= 40: it reads
         only the reduced columns."""
         def answers():
@@ -436,7 +436,7 @@ class TestReducedColumns:
             raise AssertionError("full-scale orbit sum")
 
         clear_caches()
-        monkeypatch.setattr(strength, "_orbit_counts", disabled)
+        monkeypatch.setattr(strength, "_criterion_sums", disabled)
         with pytest.raises(AssertionError, match="full-scale"):
             strength.layer_sum_f42(3, 1)
         assert answers() == expected

@@ -33,7 +33,6 @@ from hyperoct import strength
 from hyperoct.strength import (
     _EQUATIONS,
     _criterion_sums,
-    _orbit_counts,
     _reduced_sum,
     classify,
     g_function,
@@ -153,12 +152,6 @@ class TestLayerSums:
         # strength writes the tables out as literals, so its import builds no polynomial
         assert _EQUATIONS[eq][0] == support_sums(criterion())
 
-    def test_orbit_counts_step_from_one_binomial(self):
-        # classify takes C(n-m, k-m), m = 1..4, each from the one before, k <= m and n < m included
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                assert _orbit_counts(n, k) == [2**k * binomial(n - m, k - m) for m in range(1, 5)], (n, k)
-
     def test_criterion_sums_are_the_grouped_sums_of_the_table(self):
         # classify's cached orbit sums per (n, k), in table order; a cached entry is shared
         # by every caller, so it must be an immutable tuple of ints
@@ -266,30 +259,38 @@ class TestLayerSums:
         with pytest.raises(ValueError, match="n >= 4"):
             layer_sum_f84(3, 2)
 
-    # The other arguments of every public callable with a parameter n, each call valid at n = 5.
-    OTHER_ARGUMENTS = {
-        "DesignConfig": {"layers": (Layer(1, 1, 1),)},
-        "building_block_g": {"k": 0, "m_k": 2, "m_k1": 0},
-        "criterion_basis": {"s": 4},
-        "embed": {"f": Polynomial(1, {((1, 2),): 1}), "g": (2,)},
-        "fisher_bound": {"p": 1, "t": 5},
-        "five_design_possible": {"J": (1, 2)},
-        "full_basis": {"s": 2},
-        "g_function": {"k1": 1, "k2": 2},
-        "layer_sum_f42": {"k": 1},
-        "layer_sum_f63": {"k": 1},
-        "layer_sum_f82": {"k": 1},
-        "layer_sum_f84": {"k": 1},
-        "make_config": {"layers": [(1, 1, 1)]},
-        "orbit_size": {"k": 1},
-        "property_g": {},
-        "seven_design_possible": {"J": (1, 2), "p": 1},
-        "solve_radius_Q": {"ks": (1, 2, 3), "known": {1: 1, 2: 2}},
-        "solve_t5": {"J": (1, 2)},
-        "solve_t7": {"J": (1, 2)},
-        "sphere_monomial_average": {"exponents": (2, 0, 0, 0, 0), "r_squared": 1},
-        "tau": {"p": 1, "j": 2},
-        "tau_table": {},
+    # Every public callable with an integer parameter, by a call that is valid as written.
+    INTEGER_NAMES = {"n", "k", "k1", "k2", "p", "t", "j", "t_max", "s", "m", "m_k", "m_k1", "nvars"}
+    VALID_CALLS = {
+        "DesignConfig": {"n": 5, "layers": (Layer(1, 1, 1),)},
+        "Layer": {"k": 1, "r_squared": 1, "weight": 1},
+        "Polynomial": {"nvars": 2},
+        "building_block_g": {"k": 0, "m_k": 2, "m_k1": 0, "n": 5},
+        "criterion_basis": {"n": 5, "s": 4},
+        "double_factorial": {"m": 5},
+        "embed": {"f": Polynomial(1, {((1, 2),): 1}), "g": (2,), "n": 5},
+        "first_failure": {"cfg": make_config(3, [(1, 1, 1)]), "t_max": 5},
+        "fisher_bound": {"n": 5, "p": 1, "t": 5},
+        "five_design_possible": {"n": 5, "J": (1, 2)},
+        "full_basis": {"n": 5, "s": 2},
+        "g_function": {"n": 5, "k1": 1, "k2": 2},
+        "gegenbauer": {"s": 2, "alpha": 1},
+        "layer_sum_f42": {"n": 5, "k": 1},
+        "layer_sum_f63": {"n": 5, "k": 1},
+        "layer_sum_f82": {"n": 5, "k": 1},
+        "layer_sum_f84": {"n": 5, "k": 1},
+        "make_config": {"n": 5, "layers": [(1, 1, 1)]},
+        "max_strength_oracle": {"cfg": make_config(3, [(1, 1, 1)]), "t_max": 5},
+        "orbit_size": {"n": 5, "k": 1},
+        "property_g": {"n": 5},
+        "seven_design_possible": {"n": 5, "J": (1, 2), "p": 1},
+        "solve_radius_Q": {"n": 5, "ks": (1, 2, 3), "known": {1: 1, 2: 2}},
+        "solve_t5": {"n": 5, "J": (1, 2)},
+        "solve_t7": {"n": 5, "J": (1, 2)},
+        "sphere_monomial_average": {"n": 5, "exponents": (2, 0, 0, 0, 0), "r_squared": 1},
+        "tau": {"n": 5, "p": 1, "j": 2},
+        "tau_table": {"n": 5},
+        "verify_strength": {"cfg": make_config(3, [(1, 1, 1)]), "t": 5},
     }
     UNGATED = {
         "binomial": "its documented convention takes any arguments unchecked, out of range giving 0",
@@ -297,28 +298,26 @@ class TestLayerSums:
         "FisherBound": "a result record, which stores its fields unchecked (README)",
     }
 
-    @pytest.mark.parametrize("n", [5.0, True, "5", pytest.param(Fraction(5), id="Fraction(5)")])
-    def test_a_dimension_that_is_not_an_int_is_refused(self, n):
-        # one gate, numeric.dimension, before any cache: warm or cold, the same call gets the
-        # same answer.  fisher_bound tests n < 2 first, for the message its CLI row pins, so
-        # there True is out of range and a str cannot be compared
-        takes_n = {
-            name for name in hyperoct.__all__
-            if not (isinstance(value := getattr(hyperoct, name), type) and issubclass(value, BaseException))
-            and "n" in inspect.signature(value).parameters
+    @pytest.mark.parametrize("value", [
+        5.0, True, "5", pytest.param(Fraction(5), id="Fraction(5)"), 2.0, pytest.param(Fraction(2), id="Fraction(2)"),
+    ])
+    def test_a_dimension_that_is_not_an_int_is_refused(self, value):
+        # one rule, numeric.integer, for every integer parameter of the public API, run before
+        # any range test or cache: warm or cold, the same call gets the same answer
+        discovered = {
+            (name, param) for name in hyperoct.__all__
+            if not (isinstance(entry := getattr(hyperoct, name), type) and issubclass(entry, BaseException))
+            for param in inspect.signature(entry).parameters if param in self.INTEGER_NAMES
         }
-        assert takes_n == set(self.OTHER_ARGUMENTS) | set(self.UNGATED)
-        for name, others in self.OTHER_ARGUMENTS.items():
+        tabled = {(name, param) for name, call in self.VALID_CALLS.items() for param in call if param in self.INTEGER_NAMES}
+        assert {(name, param) for name, param in discovered if name not in self.UNGATED} == tabled
+        for name, call in self.VALID_CALLS.items():
             entry = getattr(hyperoct, name)
-            entry(n=5, **others)
-            if name == "fisher_bound" and n is True:
-                error, match = ValueError, "need n >= 2, p >= 1, t >= 0"
-            elif name == "fisher_bound" and n == "5":
-                error, match = TypeError, "not supported"
-            else:
-                error, match = ValueError, "dimension n must be an int"
-            with pytest.raises(error, match=match):
-                entry(n=n, **others)
+            entry(**call)
+            for param in self.INTEGER_NAMES & set(call):
+                match = "dimension n must be an int" if param == "n" else "must be an int"
+                with pytest.raises(ValueError, match=match):
+                    entry(**{**call, param: value})
 
 
 class TestOrbitSumRule:
