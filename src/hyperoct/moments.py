@@ -144,16 +144,15 @@ def monomial_residual(cfg: DesignConfig, exponents: Sequence[int]) -> Fraction:
         return _ZERO
     n, half = cfg.n, degree // 2
     parts = tuple(ordered[ordered.count(0):])
-    units = [_layer_residual(n, layer.k, parts) for layer in cfg.layers]
     # w (r^2)^half num/den with r^2 = p/q and w = a/b is a p^half num / (b q^half den)
-    return fraction_sum(
-        (
-            layer.weight.numerator * layer.r_squared.numerator**half * num,
-            layer.weight.denominator * layer.r_squared.denominator**half * den,
-        )
-        for layer, (num, den) in zip(cfg.layers, units)
-        if num
-    )
+    pairs = []
+    for layer in cfg.layers:
+        num, den = _layer_residual(n, layer.k, parts)
+        if num:
+            p, q = layer.r_squared.as_integer_ratio()
+            a, b = layer.weight.as_integer_ratio()
+            pairs.append((a * p**half * num, b * q**half * den))
+    return fraction_sum(pairs)
 
 
 def monomials_of_degree(n: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -205,25 +204,29 @@ def first_failure(cfg: DesignConfig, t_max: int) -> OracleFailure | None:
     min(n, degree), degree)``: more parts than the degree change no partition,
     so the key and the cache's size depend on the degree and not on n, and a
     degree's table is built only when the scan reaches it.  Every layer's
-    orbit is checked against the caps before the scan.  A t_max that is not an
-    int (see ``numeric.integer``) raises ValueError.
+    orbit is checked against the caps before the scan, for every t_max, by
+    reading its ``_layer_residual`` entry for x1^2, the scan's first lookup:
+    a miss runs ``check_orbit``, and a hit was checked when it was stored.  A
+    t_max that is not an int (see ``numeric.integer``) raises ValueError.
     """
     if integer(t_max, "t_max") < 0:
         raise ValueError(f"strength must be non-negative, got {t_max}")
+    n = cfg.n
     for layer in cfg.layers:
-        check_orbit(cfg.n, layer.k)
+        _layer_residual(n, layer.k, (2,))
     for degree in range(2, t_max + 1, 2):
-        for parts in _partitions(degree, min(cfg.n, degree), degree):
-            exponents = parts + (0,) * (cfg.n - len(parts))
+        for parts in _partitions(degree, min(n, degree), degree):
+            exponents = parts + (0,) * (n - len(parts))
             residual = monomial_residual(cfg, exponents)
-            if residual != 0:
+            if residual:
                 return OracleFailure(degree, exponents, residual)
     return None
 
 
 def verify_strength(cfg: DesignConfig, t: int) -> bool:
-    """Definition-level check that cfg is a Euclidean t-design."""
-    return first_failure(cfg, t) is None
+    """Definition-level check that cfg is a Euclidean t-design; a t that is not an
+    int (see ``numeric.integer``) raises ValueError."""
+    return first_failure(cfg, integer(t, "t")) is None
 
 
 def max_strength_oracle(cfg: DesignConfig, t_max: int = 11) -> int:

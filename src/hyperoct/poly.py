@@ -103,7 +103,7 @@ class Polynomial(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if power < 0:
+        if integer(power, "power") < 0:
             raise ValueError("negative powers not supported")
         result = Polynomial.constant(1, self.nvars)
         base = self

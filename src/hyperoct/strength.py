@@ -8,7 +8,8 @@ strength 9 is impossible because the degree-8 two-variable criterion sum is
 strictly positive on every orbit.  Each residual is summed in integers over
 the layers, on one common denominator per call, and reduced once.  The
 criterion orbit sums of a layer depend only on n and k, so ``classify`` reads
-them from a bounded cache keyed by (n, k), ``_criterion_sums``.
+them from a bounded cache keyed by (n, k), ``_criterion_sums``, for every n up to
+``_CACHED_N_MAX``, and computes them uncached above it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _layer_sum(row: int, n: int, k: int) -> int:
     """``_criterion_sums(n, k)[row]``, with a cold call's checks made before the cache lookup."""
     if not 1 <= orbit_index(k) <= dimension(n, 1):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _criterion_sums(n, k)[row]
+    return _criterion_sums_at(n)(n, k)[row]
 
 
 def layer_sum_f42(n: int, k: int) -> int:
@@ -144,8 +145,12 @@ class StrengthReport(_Frozen):
 # design-scan's classify requests reach every (n, k) with 3 <= n <= 40, 817 keys; the layer
 # sums fill this cache too, though no workload calls them.  An entry's four ints have about
 # k + log2 C(n-1, k-1) bits each: under 0.3 KB at n <= 40, key included.  k <= INDEX_CAP but
-# n is uncapped: at k = 10^4 an entry takes 16 KB at n = 2 * 10^4 and 0.3 MB at n = 10^20,
-# where 1,024 entries would pin 300 MB.
+# n is uncapped, and an entry grows with log n (0.3 MB at n = 10^20, k = 10^4), so only
+# n <= _CACHED_N_MAX is cached (see ``_criterion_sums_at``): there an entry takes at most
+# 8.8 KB (n = 10^4, k = 6,694), and 1,024 entries at most 9 MB.
+_CACHED_N_MAX = 10**4
+
+
 @lru_cache(maxsize=1024)
 def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
     """The orbit sum G = sum c_m 2^k C(n-m, k-m) of each ``_EQUATIONS`` criterion on
@@ -155,6 +160,12 @@ def _criterion_sums(n: int, k: int) -> tuple[int, ...]:
         factor * _reduced_sum(sums, n, k) // math.perm(n - 1, min(max(sums), n) - 1)
         for sums, _, _ in _EQUATIONS.values()
     )
+
+
+def _criterion_sums_at(n: int):
+    """``_criterion_sums`` up to n = _CACHED_N_MAX, its uncached function above: chosen
+    once per call, so a larger n pins no memory and costs no test per layer."""
+    return _criterion_sums if n <= _CACHED_N_MAX else _criterion_sums.__wrapped__
 
 
 # classify's terms.  A layer's term w (r^2/k)^scale (r^2)^power G, with r^2 = p/q,
@@ -188,8 +199,9 @@ def classify(cfg: DesignConfig) -> StrengthReport:
     common = math.lcm(*[den for *_, den in layers])
     rows = [row for row in _TERMS if row[0] <= n]
     totals = {eq: 0 for *_, exponents in rows for _, eq in exponents}
+    criterion_sums = _criterion_sums_at(n)
     for k, p, q, a, den in layers:
-        sums, scaled = _criterion_sums(n, k), common // den * a
+        sums, scaled = criterion_sums(n, k), common // den * a
         radial = (0, 0, p * p * q * q, p**3 * q, p**4)  # p^e q^(4-e), e = 2..4
         for _, row, k_power, exponents in rows:
             term = scaled * sums[row] * k**k_power

@@ -133,14 +133,15 @@ def tightness_certificate(cfg: DesignConfig) -> dict:
                 f"classifier strength {report.strength} disagrees with oracle {oracle_t}"
             )
         oracle_check = {"ran": True, "t_max": _CROSS_CHECK_T}
-    bound = fisher_bound(cfg.n, cfg.p, report.strength)
+    p, size = cfg.p, cfg.size
+    bound = fisher_bound(cfg.n, p, report.strength)
     return {
         "config": cfg.to_json_dict(),
         "strength_report": report.to_json_dict(),
-        "size": cfg.size,
-        "distinct_radii": cfg.p,
+        "size": size,
+        "distinct_radii": p,
         "fisher_bound": bound.to_json_dict(),
         "antipodal": True,
-        "tight": cfg.size == bound.value,
+        "tight": size == bound.value,
         "oracle_check": oracle_check,
     }

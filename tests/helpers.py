@@ -23,7 +23,14 @@ from pathlib import Path
 from typing import Sequence
 
 from hyperoct.harmonic import BasisElement, criterion_basis, embed, full_basis
-from hyperoct.moments import OracleFailure, first_failure, monomial_residual, monomials_of_degree, sphere_monomial_average
+from hyperoct.moments import (
+    OracleFailure,
+    first_failure,
+    monomial_residual,
+    monomials_of_degree,
+    sphere_monomial_average,
+    verify_strength,
+)
 from hyperoct.numeric import binomial, double_factorial
 from hyperoct.orbit import DesignConfig, OrbitSizeError, check_orbit, make_config, orbit_size, orbit_tuples
 from hyperoct.poly import Polynomial, building_block_g, gegenbauer, mono_degree
@@ -1188,6 +1195,8 @@ INTEGER_PROBE = {
     "monomial_residual(tight_7_4d(1, 2, 1), (v, v, 0, 0))": lambda v: monomial_residual(PROBE_CONFIG, (v, v, 0, 0)),
     "sphere_monomial_average(4, (v, v, 0, 0), 1)": lambda v: sphere_monomial_average(4, (v, v, 0, 0), 1),
     "first_failure(tight_7_4d(1, 2, 1), v)": lambda v: first_failure(PROBE_CONFIG, v),
+    "verify_strength(tight_7_4d(1, 2, 1), v)": lambda v: verify_strength(PROBE_CONFIG, v),
+    "Polynomial(1, {((1, 1),): 1}) ** v": lambda v: Polynomial(1, {((1, 1),): 1}) ** v,
     "g_function(5, v, 3)": lambda v: g_function(5, v, 3),
 }
 NOT_INTS = (2.0, Fraction(2), True)

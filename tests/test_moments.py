@@ -214,6 +214,26 @@ def test_over_cap_orbit_raises_before_any_shortcut(exps):
         first_failure(cfg, 7)
 
 
+def test_the_cap_check_before_the_scan_raises_cold_and_warm_at_every_t_max():
+    # first_failure checks every layer through its _layer_residual entry for x1^2, a cache
+    # read: a miss must raise check_orbit's error for the first layer over the caps at every
+    # t_max, 0 and 1 included, and a warm scan of the same n must not let it through
+    with pytest.raises(OrbitSizeError) as refused:
+        orbit.check_orbit(20, 10)
+    over = make_config(20, [(10, 1, 1)])
+    within_first = make_config(20, [(1, 1, 1), (10, 1, 1)])
+    within = make_config(20, [(1, 1, 1), (2, 3, 1)])
+    for warm in (False, True):
+        clear_caches()
+        if warm:
+            assert first_failure(within, 9).degree == 4
+        for cfg in (over, within_first):
+            for t_max in (0, 1, 7):
+                with pytest.raises(OrbitSizeError) as raised:
+                    first_failure(cfg, t_max)
+                assert str(raised.value) == str(refused.value), (warm, cfg, t_max)
+
+
 def test_an_orbit_over_the_cap_by_2_to_the_k_alone_is_refused_before_its_size():
     # 2^25 alone exceeds POINT_CAP, so check_orbit refuses I^30_25 without forming C(30, 25)
     assert 2**25 > POINT_CAP
@@ -288,8 +308,10 @@ class TestStrengthOracle:
     @pytest.mark.parametrize("check", [first_failure, verify_strength, max_strength_oracle])
     @pytest.mark.parametrize("t_max", [True, False, 2.5, 9.0, "9", None])
     def test_a_strength_that_is_not_an_int_is_rejected(self, check, t_max):
-        # True used to scan as t_max = 1 and come back as a strength, 2.5 raised TypeError
-        with pytest.raises(ValueError, match="t_max"):
+        # True used to scan as t_max = 1 and come back as a strength, 2.5 raised TypeError;
+        # verify_strength names its own parameter, t
+        name = "t" if check is verify_strength else "t_max"
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
             check(make_config(3, [(1, 1, 1)]), t_max)
 
     def test_the_oracle_enumerates_no_orbit_points(self, monkeypatch):

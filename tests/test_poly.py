@@ -186,6 +186,16 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="negative powers"):
             x(1, 2) ** -1
 
+    @pytest.mark.parametrize("power", [True, False, 2.0, Fraction(2), "2", None])
+    def test_a_power_that_is_not_an_int_is_rejected(self, power):
+        # ** True used to return x1 itself, and ** 2.0 raised a bare TypeError from &
+        with pytest.raises(ValueError, match="power must be an int"):
+            x(1, 2) ** power
+
+    def test_int_powers_are_unchanged(self):
+        assert x(1, 2) ** 0 == Polynomial.constant(1, 2)
+        assert x(1, 2) ** 3 == x(1, 2) * x(1, 2) * x(1, 2) == Polynomial(2, {((1, 3),): 1})
+
     @pytest.mark.parametrize("nvars, terms, message", [
         (-1, {}, "nvars must be non-negative"),
         (2, {((3, 2),): 1}, r"variable x3 out of range 1\.\.2"),

@@ -9,6 +9,7 @@ import hyperoct
 from helpers import (
     PAPER_TABLE_N4_ERRATA_WITNESSES,
     STRENGTH_GOLDEN,
+    clear_caches,
     design_residual,
     enumerated_layer_sum,
     enumerated_monomial_sum,
@@ -169,6 +170,21 @@ class TestLayerSums:
         report = classify(cfg)
         monkeypatch.setattr(strength, "binomial", refuse)
         assert classify(cfg) == report
+
+    def test_a_dimension_above_the_cached_range_answers_without_caching(self):
+        # an entry grows with log n (about 0.3 MB at n = 10^20, k = 10^4), so above
+        # _CACHED_N_MAX classify and the layer sums compute the sums and store none
+        n = 10**20
+        cfg = make_config(n, [(1, 2, 3), (3, Fraction(1, 3), Fraction(5, 7)), (200, 1, 1)])
+        clear_caches()
+        assert classify(cfg).residuals == reference_classify_residuals(cfg)
+        for k in (1, 200, 10**4):
+            assert layer_sum_f42(n, k) == grouped_sum(_EQUATIONS["f42"][0], n, k), k
+        assert _criterion_sums.cache_info().currsize == 0
+        # the bound itself is cached, the next n is not
+        for n in (strength._CACHED_N_MAX, strength._CACHED_N_MAX + 1):
+            assert layer_sum_f42(n, 2) == grouped_sum(_EQUATIONS["f42"][0], n, 2), n
+        assert _criterion_sums.cache_info().currsize == 1
 
     def test_frozen_values(self):
         assert layer_sum_f42(3, 1) == 4
